@@ -4,7 +4,7 @@ Reports are printed either as human-readable lines or, with --json, as a
 deterministic JSON document (sorted keys, exact decimal integers only).
 
 Exit codes: 0 success / all-pass, 1 verification mismatch, 2 input error,
-3 search budget exceeded.
+3 search budget exceeded, 4 internal error.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 _INPUT_KEYS = ("graph", "other", "group", "d_max", "max_order", "n_max", "fit", "vertices", "budget")
 
@@ -263,6 +264,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         _print_report(args.command, inputs, {}, "error", args.json, [], str(exc))
         return EXIT_INPUT
+    except Exception as exc:
+        # anything else is a fault of the program: report it in one line,
+        # never as a traceback or as the mismatch code
+        message = f"internal error: {type(exc).__name__}: {exc}"
+        _print_report(args.command, inputs, {}, "error", args.json, [], message)
+        return EXIT_INTERNAL
     _print_report(args.command, inputs, results, "ok", args.json, human)
     return code
 

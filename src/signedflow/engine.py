@@ -81,7 +81,7 @@ def flow_polynomial(g: SignedGraph, d: int, *, cache: dict[CacheKey, Poly] | Non
     abelian group of 2-rank d and order 2^d * n.
 
     Structural recursion: multiply over connected components; strip positive
-    loops with a factor (2^d*n - 1); apply deletion-contraction at the
+    loops with a factor (2^d*n - 1) each; apply deletion-contraction at the
     lowest-id non-loop edge (switched positive first); when only negative
     loops remain, count them with :func:`double_sum_solutions`.
 
@@ -115,19 +115,20 @@ def _flow_poly(g: SignedGraph, d: int, cache: dict[CacheKey, Poly] | None) -> Po
 
 
 def _flow_poly_connected(g: SignedGraph, d: int, cache: dict[CacheKey, Poly] | None) -> Poly:
-    positive_loop = None
+    positive_loops = 0
     non_loop = None
     for i, e in enumerate(g.edges):
         if e.is_loop():
-            if e.sign == 1:
-                positive_loop = i
-                break
+            positive_loops += e.sign == 1
         elif non_loop is None:
             non_loop = i
 
-    if positive_loop is not None:
-        # each flow extends by any of the 2^d*n - 1 nonzero values on the loop
-        return Poly((-1, 2**d)) * _flow_poly(delete_edge(g, positive_loop), d, cache)
+    if positive_loops:
+        # each flow extends by any of the 2^d*n - 1 nonzero values on each loop
+        rest = tuple(e for e in g.edges if not (e.is_loop() and e.sign == 1))
+        return Poly((-1, 2**d)) ** positive_loops * _flow_poly(
+            SignedGraph(g.num_vertices, rest), d, cache
+        )
 
     if non_loop is not None:
         h = make_edge_positive(g, non_loop)

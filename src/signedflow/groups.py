@@ -97,6 +97,31 @@ class FiniteAbelianGroup:
             i = i * m + r
         return i
 
+    def index_table(self, shift: int, scale: int) -> list[int]:
+        """Entry j is the index of ``a_shift + scale * a_j``, where ``a_i`` is
+        the element at position i of ``elements()``; zero has index 0.
+
+        ``index_table(i, 1)`` is row i of the addition table and
+        ``index_table(0, -1)`` the negation table.  Built with residue
+        arithmetic, one modulus at a time.
+
+        >>> FiniteAbelianGroup((3,)).index_table(1, 2)
+        [1, 0, 2]
+        >>> FiniteAbelianGroup((2, 2)).index_table(1, 1)
+        [1, 0, 3, 2]
+        """
+        if not 0 <= shift < self.order:
+            raise ValueError(f"index {shift} out of range for order {self.order}")
+        residues = []
+        for m in reversed(self.moduli):
+            shift, r = divmod(shift, m)
+            residues.append(r)
+        table = [0]
+        for m, r in zip(self.moduli, reversed(residues)):
+            image = [(r + scale * x) % m for x in range(m)]
+            table = [t * m + y for t in table for y in image]
+        return table
+
     def label(self) -> str:
         """Human name such as ``Z4 x Z2``; the trivial group is ``Z1``."""
         if not self.moduli:

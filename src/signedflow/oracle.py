@@ -7,20 +7,12 @@ plain Python ints, so they never overflow.
 
 from __future__ import annotations
 
-from typing import Callable, TypeVar
-
-from .graph import Orientation, SignedGraph, default_orientation
+from .graph import Edge, Orientation, SignedGraph, default_orientation
 from .groups import FiniteAbelianGroup, GroupElement
 
 DEFAULT_BUDGET = 10**8
 
-# Above this order, the index tables (order^2 entries) stop paying off and
-# the enumeration falls back to plain tuple arithmetic.
-_TABLE_MAX_ORDER = 512
-
 FlowAssignment = dict[int, GroupElement]
-
-S = TypeVar("S")
 
 
 class BudgetExceededError(Exception):
@@ -77,84 +69,58 @@ def verify_flow(
     return all(not any(s) for s in sums)
 
 
-def _count_assignments(
-    g: SignedGraph,
-    tau: Orientation,
-    values: list[S],
-    add: Callable[[S, S], S],
-    neg: Callable[[S], S],
-    zero: S,
+def _count_flows(
+    g: SignedGraph, tau: Orientation, gamma: FiniteAbelianGroup, values: list[int]
 ) -> int:
-    """Count total assignments of ``values`` to edges satisfying Kirchhoff.
+    """Number of assignments of ``values`` to the edges of g that satisfy
+    Kirchhoff's law at every vertex; the oracle's only enumerator.
 
-    Generic driver shared by the tuple-element and integer flows; pruning
-    fires as soon as every edge at some vertex has a value.
+    ``values`` are element indices of ``gamma`` (see ``index_table``) and may
+    repeat.  Edges are assigned in id order; a branch is cut as soon as every
+    edge at some vertex has a value and its sum is nonzero.  Row s of the
+    addition table is built the first time a vertex sum s is extended, so
+    table work never outgrows the search.
     """
     m = g.num_edges
     if m == 0:
         return 1
-    if not values:
-        return 0
+    scaled: dict[int, list[int]] = {}
+
+    def times(k: int) -> list[int]:
+        """Index of k * x for every value x."""
+        if k not in scaled:
+            table = gamma.index_table(0, k)
+            scaled[k] = [table[x] for x in values]
+        return scaled[k]
+
+    # per value, what the edge adds at u (and at v); a loop adds tau0*x + tau1*x
+    # at its one vertex: 0 if positive, +-2x if negative
+    plan = [
+        (e.u, times(t0 + t1), None) if e.is_loop()
+        else (e.u, list(zip(times(t0), times(t1))), e.v)
+        for e, (t0, t1) in zip(g.edges, tau.taus)
+    ]
     checks = _completion_schedule(g)
-    plan = [(e.u, tau.taus[i][0] == -1, e.v, tau.taus[i][1] == -1) for i, e in enumerate(g.edges)]
-    sums = [zero] * g.num_vertices
-
-    def rec(i: int) -> int:
-        if i == m:
-            return 1
-        u, f0, v, f1 = plan[i]
-        chk = checks[i]
-        su, sv = sums[u], sums[v]
-        total = 0
-        for x in values:
-            sums[u] = su
-            sums[v] = sv
-            sums[u] = add(sums[u], neg(x) if f0 else x)
-            sums[v] = add(sums[v], neg(x) if f1 else x)
-            ok = True
-            for w in chk:
-                if sums[w] != zero:
-                    ok = False
-                    break
-            if ok:
-                total += rec(i + 1)
-        sums[u] = su
-        sums[v] = sv
-        return total
-
-    return rec(0)
-
-
-def _count_group_flows_indexed(g: SignedGraph, tau: Orientation, gamma: FiniteAbelianGroup) -> int:
-    """Table-driven variant of the same enumeration: elements become indices
-    into precomputed addition/negation tables, which keeps the inner loop to
-    list lookups."""
-    order = gamma.order
-    elems = list(gamma.elements())
-    index = {a: i for i, a in enumerate(elems)}
-    add_t = [[index[gamma.add(a, b)] for b in elems] for a in elems]
-    neg_t = [index[gamma.negate(a)] for a in elems]
-    ident = list(range(order))
-
-    m = g.num_edges
-    checks = _completion_schedule(g)
-    ends = [(e.u, e.v) for e in g.edges]
-    app0 = [neg_t if tau.taus[i][0] == -1 else ident for i in range(m)]
-    app1 = [neg_t if tau.taus[i][1] == -1 else ident for i in range(m)]
-    values = range(1, order)
+    # every row refers to these int objects rather than holding its own copies
+    ids = list(range(gamma.order))
+    rows: list[list[int] | None] = [None] * gamma.order
     sums = [0] * g.num_vertices
 
+    def row(s: int) -> list[int]:
+        rows[s] = [ids[x] for x in gamma.index_table(s, 1)]
+        return rows[s]
+
     def rec(i: int) -> int:
         if i == m:
             return 1
-        u, v = ends[i]
-        a0, a1 = app0[i], app1[i]
+        u, step, v = plan[i]
         chk = checks[i]
-        su, sv = sums[u], sums[v]
+        su = sums[u]
+        row_u = rows[su] or row(su)
         total = 0
-        if u == v:
-            for x in values:
-                sums[u] = add_t[add_t[su][a0[x]]][a1[x]]
+        if v is None:
+            for a in step:
+                sums[u] = row_u[a]
                 ok = True
                 for w in chk:
                     if sums[w]:
@@ -162,13 +128,12 @@ def _count_group_flows_indexed(g: SignedGraph, tau: Orientation, gamma: FiniteAb
                         break
                 if ok:
                     total += rec(i + 1)
-            sums[u] = su
         else:
-            row_u = add_t[su]
-            row_v = add_t[sv]
-            for x in values:
-                sums[u] = row_u[a0[x]]
-                sums[v] = row_v[a1[x]]
+            sv = sums[v]
+            row_v = rows[sv] or row(sv)
+            for a, b in step:
+                sums[u] = row_u[a]
+                sums[v] = row_v[b]
                 ok = True
                 for w in chk:
                     if sums[w]:
@@ -176,8 +141,8 @@ def _count_group_flows_indexed(g: SignedGraph, tau: Orientation, gamma: FiniteAb
                         break
                 if ok:
                     total += rec(i + 1)
-            sums[u] = su
             sums[v] = sv
+        sums[u] = su
         return total
 
     return rec(0)
@@ -201,41 +166,40 @@ def count_group_flows(
     if g.num_edges == 0:
         return 1
     _check_budget((gamma.order - 1) ** g.num_edges, budget)
-    if gamma.order <= _TABLE_MAX_ORDER:
-        return _count_group_flows_indexed(g, tau, gamma)
-    return _count_assignments(
-        g, tau, list(gamma.nonzero_elements()), gamma.add, gamma.negate, gamma.zero()
-    )
+    return _count_flows(g, tau, gamma, list(range(1, gamma.order)))
 
 
 def count_integer_nflows(g: SignedGraph, n: int, *, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact number of Z-valued flows using only values k with 0 < |k| < n."""
+    """Exact number of Z-valued flows using only values k with 0 < |k| < n.
+
+    Counted as flows in Z_N with values +-1..+-(n-1) mod N, where
+    N = (n-1) * (largest half-edge degree) + 1: every vertex sum s has
+    |s| <= (n-1) * (half-edge degree) < N, so s = 0 exactly when s = 0 mod N.
+    """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if g.num_edges == 0:
         return 1
     _check_budget((2 * n - 2) ** g.num_edges, budget)
-    values = [k for a in range(1, n) for k in (a, -a)]
+    half_degree = [0] * g.num_vertices
+    for e in g.edges:
+        half_degree[e.u] += 1
+        half_degree[e.v] += 1
+    order = (n - 1) * max(half_degree) + 1
+    values = [k % order for a in range(1, n) for k in (a, -a)]
     tau = default_orientation(g)
-    return _count_assignments(g, tau, values, int.__add__, int.__neg__, 0)
+    return _count_flows(g, tau, FiniteAbelianGroup((order,)), values)
 
 
 def count_double_sum_solutions(
     t: int, gamma: FiniteAbelianGroup, *, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Solutions of 2*x_1 + ... + 2*x_t = 0 with every x_i nonzero, by
-    enumeration; t = 0 has the single empty solution."""
+    enumeration; t = 0 has the single empty solution.
+
+    These are the nowhere-zero flows on one vertex with t negative loops,
+    each of which adds +-2*x_i there.
+    """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    if t == 0:
-        return 1
-    _check_budget((gamma.order - 1) ** t, budget)
-    doubles = [gamma.double(x) for x in gamma.nonzero_elements()]
-    zero = gamma.zero()
-
-    def rec(i: int, acc: GroupElement) -> int:
-        if i == t:
-            return 1 if acc == zero else 0
-        return sum(rec(i + 1, gamma.add(acc, d)) for d in doubles)
-
-    return rec(0, zero)
+    return count_group_flows(SignedGraph(1, (Edge(0, 0, -1),) * t), gamma, budget=budget)

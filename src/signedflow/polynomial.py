@@ -39,10 +39,6 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
-    @classmethod
-    def const(cls, c: Coeff) -> Poly:
-        return cls((c,))
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""

@@ -117,6 +117,26 @@ class TestVerify:
         assert len(report["results"]["groups"]) == 7
 
 
+class TestInternalError:
+    def test_unexpected_error_exits_four(self, capsys, write_graph, monkeypatch):
+        def crash(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setitem(cli._HANDLERS, "count", crash)
+        path = write_graph(NEG_LOOP)
+        assert cli.main(["count", "--graph", path, "--group", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal error: RecursionError: maximum recursion depth exceeded\n"
+        )
+        code, out = run_cli(capsys, "count", "--graph", path, "--group", "2", "--json")
+        assert code == 4
+        report = json.loads(out)
+        assert report["status"] == "error"
+        assert report["message"].startswith("internal error: RecursionError")
+
+
 class TestEquivAndSwitch:
     def test_graph_is_equivalent_to_itself(self, capsys, write_graph):
         path = write_graph(TRIANGLE)

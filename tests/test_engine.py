@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +150,13 @@ class TestFlowPolynomial:
     def test_positive_loop(self):
         for d in range(4):
             assert flow_polynomial(POS_LOOP, d) == Poly((-1, 2**d))
+
+    def test_many_positive_loops(self):
+        # binomial expansion of (2^d*n - 1)^1200
+        graph = SignedGraph(1, ((0, 0, 1),) * 1200)
+        for d in range(2):
+            expected = Poly(comb(1200, i) * 2 ** (d * i) * (-1) ** (1200 - i) for i in range(1201))
+            assert flow_polynomial(graph, d) == expected
 
     def test_all_positive_triangle(self):
         for d in range(3):

@@ -96,6 +96,26 @@ class TestTwoRank:
         assert len(list(g.elements())) == 3
 
 
+class TestIndexTable:
+    @pytest.mark.parametrize(
+        "g", [FiniteAbelianGroup(m) for m in [(), (5,), (4, 2), (3, 2, 2), (4, 3)]]
+    )
+    def test_matches_element_arithmetic(self, g):
+        elems = list(g.elements())
+        for k in range(-2, 3):
+            for i, a in enumerate(elems):
+                table = g.index_table(i, k)
+                for b, j in zip(elems, table):
+                    multiple = g.zero()
+                    for _ in range(abs(k)):
+                        multiple = g.add(multiple, b if k > 0 else g.negate(b))
+                    assert elems[j] == g.add(a, multiple)
+
+    def test_shift_out_of_range_raises(self):
+        with pytest.raises(ValueError):
+            FiniteAbelianGroup((4, 2)).index_table(8, 1)
+
+
 class TestEnumeration:
     def test_z2(self):
         assert list(FiniteAbelianGroup((2,)).elements()) == [(0,), (1,)]

@@ -14,6 +14,7 @@ from signedflow import (
     count_integer_nflows,
     default_orientation,
     delete_edge,
+    flow_polynomial,
     make_edge_positive,
     reverse_edge,
     switch,
@@ -26,6 +27,7 @@ from corpusgen import (
     DIGON_PM,
     EDGELESS,
     NEG_LOOP,
+    POS_EDGE,
     POS_LOOP,
     THETA_PPM,
     TRIANGLE,
@@ -94,6 +96,10 @@ class TestCountGroupFlows:
         big = FiniteAbelianGroup((600,))
         assert count_group_flows(NEG_LOOP, big) == 1
         assert count_group_flows(POS_LOOP, big) == 599
+
+    def test_order_above_512_matches_the_engine(self):
+        gamma = FiniteAbelianGroup((23, 23))
+        assert count_group_flows(DIGON_PM, gamma) == flow_polynomial(DIGON_PM, 0)(529)
 
     def test_matches_naive_enumeration(self):
         # re-count by filtering verify_flow over every nowhere-zero assignment
@@ -198,6 +204,32 @@ class TestIntegerFlows:
     def test_invalid_n_raises(self):
         with pytest.raises(ValueError):
             count_integer_nflows(POS_LOOP, 0)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            POS_EDGE,
+            BARBELL,
+            THETA_PPM,
+            TRIANGLE_ONE_NEG,
+            # the sum at the loop vertex can reach (n-1) * (half-edge degree)
+            g(1, (0, 0, -1), (0, 0, -1), (0, 0, -1)),
+            g(1, (0, 0, -1), (0, 0, -1), (0, 0, -1), (0, 0, 1)),
+            g(2, (0, 0, -1), (0, 0, -1), (0, 1, -1), (1, 1, 1), (1, 1, -1)),
+        ],
+    )
+    def test_matches_product_reference(self, graph):
+        # tau = +1 at u and -sign at v; a loop then adds (1 - sign) * x
+        for n in range(1, 5):
+            values = [k for a in range(1, n) for k in (a, -a)]
+            expected = 0
+            for xs in itertools.product(values, repeat=graph.num_edges):
+                sums = [0] * graph.num_vertices
+                for x, e in zip(xs, graph.edges):
+                    sums[e.u] += x
+                    sums[e.v] -= e.sign * x
+                expected += not any(sums)
+            assert count_integer_nflows(graph, n) == expected
 
 
 class TestDoubleSumOracle:
