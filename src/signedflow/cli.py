@@ -103,17 +103,14 @@ def _cmd_verify(args) -> tuple[dict, list[str], int]:
     if args.max_order < 1:
         raise ValueError(f"max-order must be at least 1, got {args.max_order}")
     gammas = abelian_groups_up_to(args.max_order)
-    cache: dict = {}
-    family = {}
+    family = engine.flow_polynomial_family(g, max(gamma.two_rank for gamma in gammas), cache={})
     group_rows = []
     human = []
     all_pass = True
     for gamma in gammas:
         d = gamma.two_rank
         n = gamma.order // 2**d
-        if d not in family:
-            family[d] = engine.flow_polynomial(g, d, cache=cache)
-        expected = family[d](n)
+        expected = family.entries[d](n)
         actual = oracle.count_group_flows(g, gamma, budget=args.budget)
         ok = expected == actual
         all_pass = all_pass and ok

@@ -1,10 +1,13 @@
 """Closed-form solution counts and the deletion-contraction flow polynomial.
 
 For a fixed 2-rank d, the number of nowhere-zero flows over any abelian
-group of order 2^d * n is a polynomial in n.  This module computes that
-polynomial exactly: positive loops and positive non-loop edges are removed
-by the usual loop/deletion-contraction rules, and what remains (vertices
-carrying only negative loops) is counted by an explicit formula.
+group of order 2^d * n is a polynomial f_d in n.  d enters only through
+q = 2^d, so one recursion computes the bivariate polynomial F(q, n) with
+exact integer coefficients and every f_d is F(2^d, n).  Positive loops are
+stripped with a factor (q*n - 1)^k, positive non-loop edges by the usual
+deletion-contraction rule, and what remains (vertices carrying only
+negative loops) is counted by an explicit formula.  The recursion is always
+memoised on the normalized edge list.
 """
 
 from __future__ import annotations
@@ -23,7 +26,56 @@ from .graph import (
 )
 from .polynomial import Poly, interpolate
 
-CacheKey = tuple[int, int, tuple[tuple[int, int, int], ...]]
+CacheKey = tuple[int, tuple[tuple[int, int, int], ...]]
+
+# F(q, n) as {(i, j): c} for the terms c * n^i * q^j, zero terms omitted.
+# Memoised values are shared between callers, so they are never mutated.
+_Bivariate = dict[tuple[int, int], int]
+
+
+def _sub(a: _Bivariate, b: _Bivariate) -> _Bivariate:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) - c
+    return {k: c for k, c in out.items() if c}
+
+
+def _mul(a: _Bivariate, b: _Bivariate) -> _Bivariate:
+    out: _Bivariate = {}
+    for (i, j), c in a.items():
+        for (k, l), e in b.items():
+            key = (i + k, j + l)
+            out[key] = out.get(key, 0) + c * e
+    return {k: c for k, c in out.items() if c}
+
+
+def _at_q(f: _Bivariate, q: int) -> Poly:
+    coeffs = [0] * (max((i for i, _ in f), default=-1) + 1)
+    for (i, j), c in f.items():
+        coeffs[i] += c * q**j
+    return Poly(coeffs)
+
+
+def _qn_minus_1_power(k: int) -> _Bivariate:
+    """(q*n - 1)^k by the binomial theorem."""
+    return {(i, i): comb(k, i) * (-1) ** (k - i) for i in range(k + 1)}
+
+
+def _negative_loops(t: int) -> _Bivariate:
+    """Solutions of 2*x_1 + ... + 2*x_t = 0 with all x_i nonzero, over any
+    abelian group of order q*n whose 2-torsion has order q.
+
+    Doubling maps the group onto a subgroup of order n with kernel of size
+    q, so a solution with exactly s nonzero images lifts in q^s (q-1)^(t-s)
+    ways, and the images solve y_1 + ... + y_s = 0 in N_s(n) ways.  With
+    N_0 = 1, N_1 = 0 and N_s(m) = (m-1)^(s-1) - N_(s-1)(m), induction gives
+    N_s(m) = ((m-1)^s + (-1)^s (m-1)) / m, and the binomial theorem sums
+    C(t, s) q^s (q-1)^(t-s) N_s(n) over s to
+    ((q*n - 1)^t + (-1)^t (n - 1)) / n.
+    """
+    out = {(i - 1, j): c for (i, j), c in _qn_minus_1_power(t).items() if i}
+    out[0, 0] = (-1) ** t
+    return out
 
 
 def nonzero_sum_count(s: int, order: int | None = None) -> Poly | int:
@@ -34,7 +86,8 @@ def nonzero_sum_count(s: int, order: int | None = None) -> Poly | int:
     evaluated at the given order.  The count is
     sum_{i=1..s-1} (-1)^(i-1) (m-1)^(s-i) for s >= 1.  The empty equation
     (s = 0) has exactly one solution; the sum convention alone would drop
-    it, but the enumeration oracle pins it at 1.
+    it, but the enumeration oracle pins it at 1.  The polynomial is the
+    negative-loop count at q = 1, where doubling is a bijection.
     """
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
@@ -42,79 +95,66 @@ def nonzero_sum_count(s: int, order: int | None = None) -> Poly | int:
         if s == 0:
             return 1
         return sum((-1) ** (i - 1) * (order - 1) ** (s - i) for i in range(1, s))
-    if s == 0:
-        return Poly((1,))
-    m_minus_1 = Poly((-1, 1))
-    total = Poly()
-    for i in range(1, s):
-        total = total + (-1) ** (i - 1) * m_minus_1 ** (s - i)
-    return total
+    return _at_q(_negative_loops(s), 1)
 
 
 def double_sum_solutions(t: int, d: int) -> Poly:
     """Number of solutions of 2*x_1 + ... + 2*x_t = 0 with all x_i nonzero,
     as a polynomial in n, over any abelian group of 2-rank d and order 2^d*n.
 
-    Doubling maps the group onto a subgroup of order n with kernel of size
-    2^d, so each solution with exactly s nonzero images lifts in
-    (2^d)^s * (2^d - 1)^(t-s) ways; summing over s gives the count.
+    This is the recursion's negative-loop count evaluated at q = 2^d.
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     if d < 0:
         raise ValueError(f"d must be nonnegative, got {d}")
-    q = 2**d
-    total = Poly()
-    for s in range(t + 1):
-        lifts = comb(t, s) * q**s * (q - 1) ** (t - s)
-        total = total + lifts * nonzero_sum_count(s)
-    return total
+    return _at_q(_negative_loops(t), 2**d)
 
 
-def _cache_key(g: SignedGraph, d: int) -> CacheKey:
+def _cache_key(g: SignedGraph) -> CacheKey:
     edges = tuple(sorted((min(e.u, e.v), max(e.u, e.v), e.sign) for e in g.edges))
-    return (d, g.num_vertices, edges)
+    return (g.num_vertices, edges)
 
 
-def flow_polynomial(g: SignedGraph, d: int, *, cache: dict[CacheKey, Poly] | None = None) -> Poly:
+def flow_polynomial(g: SignedGraph, d: int, *, cache: dict[CacheKey, _Bivariate] | None = None) -> Poly:
     """The polynomial f with f(n) = number of nowhere-zero flows over every
     abelian group of 2-rank d and order 2^d * n.
 
-    Structural recursion: multiply over connected components; strip positive
-    loops with a factor (2^d*n - 1) each; apply deletion-contraction at the
-    lowest-id non-loop edge (switched positive first); when only negative
-    loops remain, count them with :func:`double_sum_solutions`.
+    Structural recursion on F(q, n): multiply over connected components;
+    strip the k positive loops of a component with a factor (q*n - 1)^k;
+    apply deletion-contraction at the lowest-id non-loop edge (switched
+    positive first); when only negative loops remain, count them in closed
+    form.  The result is F(2^d, n).
 
-    ``cache`` may be any dict and is keyed on the exact normalized edge
-    list, so it is safe to share across calls and across values of d.
+    The recursion is always memoised; ``cache`` only supplies the storage
+    (None means a fresh dict).  Entries are keyed on the exact normalized
+    edge list and carry no d, so a cache may be shared across calls and
+    across values of d.
     """
     if d < 0:
         raise ValueError(f"d must be nonnegative, got {d}")
-    return _flow_poly(g, d, cache)
+    return _at_q(_flow_poly(g, {} if cache is None else cache), 2**d)
 
 
-def _flow_poly(g: SignedGraph, d: int, cache: dict[CacheKey, Poly] | None) -> Poly:
-    key = None
-    if cache is not None:
-        key = _cache_key(g, d)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+def _flow_poly(g: SignedGraph, cache: dict[CacheKey, _Bivariate]) -> _Bivariate:
+    key = _cache_key(g)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
 
     comps = connected_components(g)
     if len(comps) > 1:
-        result = Poly((1,))
+        result: _Bivariate = {(0, 0): 1}
         for comp in comps:
-            result = result * _flow_poly(comp, d, cache)
+            result = _mul(result, _flow_poly(comp, cache))
     else:
-        result = _flow_poly_connected(g, d, cache)
+        result = _flow_poly_connected(g, cache)
 
-    if cache is not None:
-        cache[key] = result
+    cache[key] = result
     return result
 
 
-def _flow_poly_connected(g: SignedGraph, d: int, cache: dict[CacheKey, Poly] | None) -> Poly:
+def _flow_poly_connected(g: SignedGraph, cache: dict[CacheKey, _Bivariate]) -> _Bivariate:
     positive_loops = 0
     non_loop = None
     for i, e in enumerate(g.edges):
@@ -124,26 +164,20 @@ def _flow_poly_connected(g: SignedGraph, d: int, cache: dict[CacheKey, Poly] | N
             non_loop = i
 
     if positive_loops:
-        # each flow extends by any of the 2^d*n - 1 nonzero values on each loop
+        # each flow extends by any of the q*n - 1 nonzero values on each loop
         rest = tuple(e for e in g.edges if not (e.is_loop() and e.sign == 1))
-        return Poly((-1, 2**d)) ** positive_loops * _flow_poly(
-            SignedGraph(g.num_vertices, rest), d, cache
-        )
+        return _mul(_qn_minus_1_power(positive_loops),
+                    _flow_poly(SignedGraph(g.num_vertices, rest), cache))
 
     if non_loop is not None:
         h = make_edge_positive(g, non_loop)
-        contracted = _flow_poly(contract_edge(h, non_loop), d, cache)
-        deleted = _flow_poly(delete_edge(h, non_loop), d, cache)
-        return contracted - deleted
+        contracted = _flow_poly(contract_edge(h, non_loop), cache)
+        deleted = _flow_poly(delete_edge(h, non_loop), cache)
+        return _sub(contracted, deleted)
 
-    # only negative loops remain; Kirchhoff at each vertex reads 2*x_1 + ... + 2*x_t = 0
-    loops_at = [0] * g.num_vertices
-    for e in g.edges:
-        loops_at[e.u] += 1
-    result = Poly((1,))
-    for t in loops_at:
-        result = result * double_sum_solutions(t, d)
-    return result
+    # only negative loops remain, all at one vertex (the component is
+    # connected); Kirchhoff there reads 2*x_1 + ... + 2*x_t = 0
+    return _negative_loops(len(g.edges))
 
 
 @dataclass
@@ -155,11 +189,14 @@ class FlowPolynomialFamily:
 
 
 def flow_polynomial_family(
-    g: SignedGraph, d_max: int, *, cache: dict[CacheKey, Poly] | None = None
+    g: SignedGraph, d_max: int, *, cache: dict[CacheKey, _Bivariate] | None = None
 ) -> FlowPolynomialFamily:
+    """f_0..f_d_max from one memoised recursion: f_d is F(2^d, n), see
+    :func:`flow_polynomial`."""
     if d_max < 0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
-    entries = {d: flow_polynomial(g, d, cache=cache) for d in range(d_max + 1)}
+    f = _flow_poly(g, {} if cache is None else cache)
+    entries = {d: _at_q(f, 2**d) for d in range(d_max + 1)}
     return FlowPolynomialFamily(entries=entries, graph_fingerprint=graph_fingerprint(g))
 
 

@@ -158,6 +158,25 @@ class TestFlowPolynomial:
             expected = Poly(comb(1200, i) * 2 ** (d * i) * (-1) ** (1200 - i) for i in range(1201))
             assert flow_polynomial(graph, d) == expected
 
+    def test_many_negative_loops(self):
+        # lift each solution of the doubled equation through the kernel of doubling
+        t = 120
+        graph = SignedGraph(1, ((0, 0, -1),) * t)
+        for d in range(3):
+            q = 2**d
+            f = flow_polynomial(graph, d)
+            for n in (1, 2, 3, 7):
+                expected = sum(comb(t, s) * q**s * (q - 1) ** (t - s) * nonzero_sum_count(s, n)
+                               for s in range(t + 1))
+                assert f(n) == expected
+
+    def test_parallel_class(self):
+        # balanced, so f_d(n) = f_0(2^d*n), and f_0 counts x_1 + ... + x_300 = 0
+        graph = SignedGraph(2, ((0, 1, 1),) * 300)
+        family = flow_polynomial_family(graph, 3)
+        for d in range(4):
+            assert family.entries[d] == nonzero_sum_count(300).scale_argument(2**d)
+
     def test_all_positive_triangle(self):
         for d in range(3):
             assert flow_polynomial(TRIANGLE, d) == Poly((-1, 2**d))
@@ -223,9 +242,18 @@ class TestFlowPolynomial:
             for d in range(3):
                 assert flow_polynomial(graph, d, cache=cache) == flow_polynomial(graph, d)
         assert cache
-        # a reused cache keyed per d must not leak across ranks
+        # entries carry no d, so one reused cache serves every rank
         assert flow_polynomial(NEG_LOOP, 0, cache=cache) == Poly()
         assert flow_polynomial(NEG_LOOP, 2, cache=cache) == Poly((3,))
+        # one recursion fills the same entries for d = 0 alone and for d <= 4
+        for graph in [BARBELL, TRIANGLE_ONE_NEG, k4_with_signs([-1] + [1] * 5)]:
+            c0: dict = {}
+            flow_polynomial(graph, 0, cache=c0)
+            c: dict = {}
+            family = flow_polynomial_family(graph, 4, cache=c)
+            assert len(c) == len(c0)
+            for d, p in family.entries.items():
+                assert p == flow_polynomial(graph, d)
 
 
 class TestFlowPolynomialFamily:

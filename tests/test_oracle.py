@@ -92,7 +92,7 @@ class TestCountGroupFlows:
         assert count_group_flows(POS_LOOP, TRIVIAL) == 0
         assert count_group_flows(EDGELESS, TRIVIAL) == 1
 
-    def test_large_group_falls_back_to_tuple_arithmetic(self):
+    def test_group_order_above_512(self):
         big = FiniteAbelianGroup((600,))
         assert count_group_flows(NEG_LOOP, big) == 1
         assert count_group_flows(POS_LOOP, big) == 599
