@@ -124,7 +124,7 @@ def flow_polynomial(g: SignedGraph, d: int, *, cache: dict[CacheKey, _Bivariate]
     strip the k positive loops of a component with a factor (q*n - 1)^k;
     apply deletion-contraction at the lowest-id non-loop edge (switched
     positive first); when only negative loops remain, count them in closed
-    form.  The result is F(2^d, n).
+    form.  The result is F(2^d, n).  Edgeless vertices are dropped first.
 
     The recursion is always memoised; ``cache`` only supplies the storage
     (None means a fresh dict).  Entries are keyed on the exact normalized
@@ -133,7 +133,16 @@ def flow_polynomial(g: SignedGraph, d: int, *, cache: dict[CacheKey, _Bivariate]
     """
     if d < 0:
         raise ValueError(f"d must be nonnegative, got {d}")
-    return _at_q(_flow_poly(g, {} if cache is None else cache), 2**d)
+    return _at_q(_flow_poly_at_entry(g, cache), 2**d)
+
+
+def _flow_poly_at_entry(g: SignedGraph, cache: dict[CacheKey, _Bivariate] | None) -> _Bivariate:
+    """F(q, n) of ``g`` without its edgeless vertices: each is a factor 1."""
+    used = sorted({w for e in g.edges for w in (e.u, e.v)})
+    if len(used) < g.num_vertices:
+        label = {v: i for i, v in enumerate(used)}
+        g = SignedGraph.from_edges(len(used), ((label[e.u], label[e.v], e.sign) for e in g.edges))
+    return _flow_poly(g, {} if cache is None else cache)
 
 
 def _flow_poly(g: SignedGraph, cache: dict[CacheKey, _Bivariate]) -> _Bivariate:
@@ -195,7 +204,7 @@ def flow_polynomial_family(
     :func:`flow_polynomial`."""
     if d_max < 0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
-    f = _flow_poly(g, {} if cache is None else cache)
+    f = _flow_poly_at_entry(g, cache)
     entries = {d: _at_q(f, 2**d) for d in range(d_max + 1)}
     return FlowPolynomialFamily(entries=entries, graph_fingerprint=graph_fingerprint(g))
 

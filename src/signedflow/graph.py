@@ -1,7 +1,9 @@
 """Signed multigraphs: half-edge orientations, switching, and minor rewrites.
 
-All values are immutable; every operation returns a fresh graph, so sharing
-across threads is safe.
+All values are immutable, so sharing across threads is safe.  A graph is
+checked once, where it enters (``SignedGraph``, ``from_edges``,
+``parse_graph_text``); rewrites preserve validity, so the graphs they derive
+are not checked again, and a rewrite that changes nothing may return its input.
 """
 
 from __future__ import annotations
@@ -76,9 +78,6 @@ class Orientation:
             if t0 not in (1, -1) or t1 not in (1, -1):
                 raise ValueError(f"edge {i}: tau values must be +1 or -1, got {(t0, t1)}")
 
-    def tau(self, edge_id: int, slot: int) -> int:
-        return self.taus[edge_id][slot]
-
     def satisfies(self, g: SignedGraph) -> bool:
         return len(self.taus) == g.num_edges and all(
             t0 * t1 == -e.sign for (t0, t1), e in zip(self.taus, g.edges)
@@ -102,6 +101,15 @@ def reverse_edge(o: Orientation, edge_id: int) -> Orientation:
     t0, t1 = taus[edge_id]
     taus[edge_id] = (-t0, -t1)
     return Orientation(tuple(taus))
+
+
+def _derived(num_vertices: int, edges: tuple[Edge, ...]) -> SignedGraph:
+    """A rewrite's result, built without the constructor's checks: every
+    ``SignedGraph`` passed them or was derived from one that did, and every
+    rewrite keeps endpoints in range, signs in {+1, -1} and edges ``Edge``."""
+    out = object.__new__(SignedGraph)
+    out.__dict__.update(num_vertices=num_vertices, edges=edges)
+    return out
 
 
 def _check_edge_id(g: SignedGraph, edge_id: int) -> Edge:
@@ -130,7 +138,7 @@ def switch(g: SignedGraph, x: Iterable[int]) -> SignedGraph:
         Edge(e.u, e.v, -e.sign if (e.u in xs) != (e.v in xs) else e.sign)
         for e in g.edges
     )
-    return SignedGraph(g.num_vertices, edges)
+    return _derived(g.num_vertices, edges)
 
 
 def is_edge_cut(g: SignedGraph, d: Iterable[int]) -> bool:
@@ -193,9 +201,7 @@ def cycle_sign(g: SignedGraph, cycle: Iterable[int]) -> int:
 def delete_edge(g: SignedGraph, edge_id: int) -> SignedGraph:
     """Remove one edge; later edge ids shift down by one, vertices unchanged."""
     _check_edge_id(g, edge_id)
-    return SignedGraph(
-        g.num_vertices, g.edges[:edge_id] + g.edges[edge_id + 1 :]
-    )
+    return _derived(g.num_vertices, g.edges[:edge_id] + g.edges[edge_id + 1 :])
 
 
 def contract_edge(g: SignedGraph, edge_id: int) -> SignedGraph:
@@ -224,7 +230,7 @@ def contract_edge(g: SignedGraph, edge_id: int) -> SignedGraph:
         for i, f in enumerate(g.edges)
         if i != edge_id
     )
-    return SignedGraph(g.num_vertices - 1, edges)
+    return _derived(g.num_vertices - 1, edges)
 
 
 def make_edge_positive(g: SignedGraph, edge_id: int) -> SignedGraph:
@@ -247,7 +253,7 @@ def connected_components(g: SignedGraph) -> list[SignedGraph]:
 
     Components are ordered by their smallest original vertex; isolated
     vertices form singleton components.  Edge order is preserved within
-    each component.
+    each component.  A connected graph gives ``[g]``, the input itself.
     """
     parent = list(range(g.num_vertices))
 
@@ -262,19 +268,22 @@ def connected_components(g: SignedGraph) -> list[SignedGraph]:
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
 
-    members: dict[int, list[int]] = {}
+    comp, label, sizes = [0] * g.num_vertices, [0] * g.num_vertices, []
     for v in range(g.num_vertices):
-        members.setdefault(find(v), []).append(v)
+        r = find(v)
+        if r == v:  # roots are component minima, so they come first: no sort
+            comp[v] = len(sizes)
+            sizes.append(0)
+        c = comp[v] = comp[r]
+        label[v] = sizes[c]
+        sizes[c] += 1
+    if len(sizes) == 1:
+        return [g]
 
-    out = []
-    for root in sorted(members):
-        verts = members[root]
-        vmap = {old: new for new, old in enumerate(verts)}
-        edges = tuple(
-            Edge(vmap[e.u], vmap[e.v], e.sign) for e in g.edges if find(e.u) == root
-        )
-        out.append(SignedGraph(len(verts), edges))
-    return out
+    edges: list[list[Edge]] = [[] for _ in sizes]
+    for e in g.edges:
+        edges[comp[e.u]].append(Edge(label[e.u], label[e.v], e.sign))
+    return [_derived(n, tuple(es)) for n, es in zip(sizes, edges)]
 
 
 def parse_graph_text(text: str) -> SignedGraph:

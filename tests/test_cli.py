@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from signedflow import cli, parse_graph_text, signatures_equivalent
+from signedflow import abelian_groups_up_to, cli, parse_graph_text, signatures_equivalent
 from signedflow.graph import graph_to_text
 
 from corpusgen import BARBELL, NEG_LOOP, POS_LOOP, TRIANGLE, g
@@ -98,6 +98,24 @@ class TestVerify:
         assert code == 0
         assert "all PASS" in out
         assert "pair Z9 / Z3 x Z3" in out
+
+    def test_each_group_is_counted_once(self, capsys, write_graph, monkeypatch):
+        counted = []
+        count = cli.oracle.count_group_flows
+
+        def counting(graph, gamma, **kwargs):
+            counted.append(gamma)
+            return count(graph, gamma, **kwargs)
+
+        monkeypatch.setattr(cli.oracle, "count_group_flows", counting)
+        code, out = run_cli(
+            capsys, "verify", "--graph", write_graph(BARBELL), "--max-order", "9"
+        )
+        assert code == 0
+        assert "pair Z9 / Z3 x Z3" in out
+        assert sorted(counted, key=lambda gamma: gamma.moduli) == sorted(
+            abelian_groups_up_to(9), key=lambda gamma: gamma.moduli
+        )
 
     def test_mismatch_exits_one(self, capsys, write_graph, monkeypatch):
         monkeypatch.setattr(cli.oracle, "count_group_flows", lambda *a, **k: 987654)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signedflow import (
+    Edge,
     FiniteAbelianGroup,
     Poly,
     SignedGraph,
@@ -16,6 +17,7 @@ from signedflow import (
     fit_quasipolynomial,
     flow_polynomial,
     flow_polynomial_family,
+    graph_fingerprint,
     nonzero_sum_count,
     switch,
 )
@@ -277,6 +279,14 @@ class TestFlowPolynomialFamily:
     def test_negative_d_max_raises(self):
         with pytest.raises(ValueError):
             flow_polynomial_family(NEG_LOOP, -1)
+
+    def test_isolated_vertices_are_ignored(self):
+        digon = g(2, (0, 1, 1), (0, 1, -1))
+        padded = SignedGraph(10**6, (Edge(0, 999_999, 1), Edge(0, 999_999, -1)))
+        family = flow_polynomial_family(padded, 3)
+        assert family.entries == flow_polynomial_family(digon, 3).entries
+        assert family.graph_fingerprint == graph_fingerprint(padded)
+        assert flow_polynomial(padded, 2) == family.entries[2]
 
 
 class TestFitQuasipolynomial:

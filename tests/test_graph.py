@@ -335,6 +335,38 @@ class TestConnectedComponents:
     def test_vertexless_graph_has_no_components(self):
         assert connected_components(SignedGraph(0)) == []
 
+    def test_connected_graph_is_its_own_component(self):
+        for graph in (TRIANGLE, NEG_LOOP, g(1)):
+            assert connected_components(graph)[0] is graph
+
+    def test_interleaved_split_keeps_order_and_labels(self):
+        graph = g(6, (4, 2, 1), (0, 3, -1), (5, 4, -1), (3, 3, 1), (2, 5, 1))
+        assert connected_components(graph) == [
+            g(2, (0, 1, -1), (1, 1, 1)),
+            g(1),
+            g(3, (1, 0, 1), (2, 1, -1), (0, 2, 1)),
+        ]
+
+
+def _rewrites(graph: SignedGraph):
+    """Every graph the rewrites derive from ``graph`` in one step."""
+    yield from connected_components(graph)
+    yield switch(graph, range(0, graph.num_vertices, 2))
+    for i, e in enumerate(graph.edges):
+        yield delete_edge(graph, i)
+        if not e.is_loop():
+            yield make_edge_positive(graph, i)
+            if e.sign == 1:
+                yield contract_edge(graph, i)
+
+
+@given(signed_graphs())
+@settings(max_examples=100)
+def test_rewrites_give_graphs_the_constructor_accepts(graph):
+    for r in _rewrites(graph):
+        assert r == SignedGraph(r.num_vertices, r.edges)
+        assert all(type(e) is Edge for e in r.edges)
+
 
 class TestTextFormat:
     def test_round_trip_all_zoo_graphs(self):
