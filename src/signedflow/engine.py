@@ -4,10 +4,12 @@ For a fixed 2-rank d, the number of nowhere-zero flows over any abelian
 group of order 2^d * n is a polynomial f_d in n.  d enters only through
 q = 2^d, so one recursion computes the bivariate polynomial F(q, n) with
 exact integer coefficients and every f_d is F(2^d, n).  Positive loops are
-stripped with a factor (q*n - 1)^k, positive non-loop edges by the usual
-deletion-contraction rule, and what remains (vertices carrying only
-negative loops) is counted by an explicit formula.  The recursion is always
-memoised on the normalized edge list.
+stripped with a factor (q*n - 1)^k; a vertex with one half-edge makes F zero,
+and an edge at a vertex with two half-edges is contracted with no deletion
+branch; other positive non-loop edges go by the usual deletion-contraction
+rule, and what remains (vertices carrying only negative loops) is counted by
+an explicit formula.  The recursion is always memoised on the normalized
+edge list.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from typing import Iterable
 
 from .graph import (
     SignedGraph,
+    _derived,
     connected_components,
     contract_edge,
     delete_edge,
+    drop_edgeless_vertices,
     graph_fingerprint,
     make_edge_positive,
 )
@@ -112,7 +116,8 @@ def double_sum_solutions(t: int, d: int) -> Poly:
 
 
 def _cache_key(g: SignedGraph) -> CacheKey:
-    edges = tuple(sorted((min(e.u, e.v), max(e.u, e.v), e.sign) for e in g.edges))
+    # an Edge compares and hashes like the plain tuple (u, v, sign)
+    edges = tuple(sorted(e if e.u <= e.v else (e.v, e.u, e.sign) for e in g.edges))
     return (g.num_vertices, edges)
 
 
@@ -122,8 +127,12 @@ def flow_polynomial(g: SignedGraph, d: int, *, cache: dict[CacheKey, _Bivariate]
 
     Structural recursion on F(q, n): multiply over connected components;
     strip the k positive loops of a component with a factor (q*n - 1)^k;
-    apply deletion-contraction at the lowest-id non-loop edge (switched
-    positive first); when only negative loops remain, count them in closed
+    then, in a component with two or more vertices, F is 0 if some vertex
+    has one half-edge (Kirchhoff forces that edge to 0), F(g) = F(g/e) for
+    the lowest-id edge e at the first vertex with two half-edges (g - e has
+    a vertex with one half-edge), and otherwise deletion-contraction applies
+    at the lowest-id non-loop edge; edges are switched positive before they
+    are contracted.  When only negative loops remain, count them in closed
     form.  The result is F(2^d, n).  Edgeless vertices are dropped first.
 
     The recursion is always memoised; ``cache`` only supplies the storage
@@ -138,11 +147,7 @@ def flow_polynomial(g: SignedGraph, d: int, *, cache: dict[CacheKey, _Bivariate]
 
 def _flow_poly_at_entry(g: SignedGraph, cache: dict[CacheKey, _Bivariate] | None) -> _Bivariate:
     """F(q, n) of ``g`` without its edgeless vertices: each is a factor 1."""
-    used = sorted({w for e in g.edges for w in (e.u, e.v)})
-    if len(used) < g.num_vertices:
-        label = {v: i for i, v in enumerate(used)}
-        g = SignedGraph.from_edges(len(used), ((label[e.u], label[e.v], e.sign) for e in g.edges))
-    return _flow_poly(g, {} if cache is None else cache)
+    return _flow_poly(drop_edgeless_vertices(g), {} if cache is None else cache)
 
 
 def _flow_poly(g: SignedGraph, cache: dict[CacheKey, _Bivariate]) -> _Bivariate:
@@ -166,9 +171,12 @@ def _flow_poly(g: SignedGraph, cache: dict[CacheKey, _Bivariate]) -> _Bivariate:
 def _flow_poly_connected(g: SignedGraph, cache: dict[CacheKey, _Bivariate]) -> _Bivariate:
     positive_loops = 0
     non_loop = None
-    for i, e in enumerate(g.edges):
-        if e.is_loop():
-            positive_loops += e.sign == 1
+    degree = [0] * g.num_vertices  # half-edges at each vertex
+    for i, (u, v, sign) in enumerate(g.edges):
+        degree[u] += 1
+        degree[v] += 1
+        if u == v:
+            positive_loops += sign == 1
         elif non_loop is None:
             non_loop = i
 
@@ -176,9 +184,19 @@ def _flow_poly_connected(g: SignedGraph, cache: dict[CacheKey, _Bivariate]) -> _
         # each flow extends by any of the q*n - 1 nonzero values on each loop
         rest = tuple(e for e in g.edges if not (e.is_loop() and e.sign == 1))
         return _mul(_qn_minus_1_power(positive_loops),
-                    _flow_poly(SignedGraph(g.num_vertices, rest), cache))
+                    _flow_poly(_derived(g.num_vertices, rest), cache))
 
     if non_loop is not None:
+        if 1 in degree:
+            # Kirchhoff at a vertex with one half-edge forces that edge to 0
+            return {}
+        if 2 in degree:
+            # series rule: both half-edges at v lie on non-loop edges (g is
+            # connected with two or more vertices), and deleting one of them
+            # leaves v a single half-edge, so F(g) = F(g/e) - 0
+            v = degree.index(2)
+            e = next(i for i, (a, b, _) in enumerate(g.edges) if a == v or b == v)
+            return _flow_poly(contract_edge(make_edge_positive(g, e), e), cache)
         h = make_edge_positive(g, non_loop)
         contracted = _flow_poly(contract_edge(h, non_loop), cache)
         deleted = _flow_poly(delete_edge(h, non_loop), cache)

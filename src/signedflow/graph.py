@@ -219,16 +219,11 @@ def contract_edge(g: SignedGraph, edge_id: int) -> SignedGraph:
             f"edge {edge_id} is negative; switch to an equivalent signature first"
         )
     a, b = min(e.u, e.v), max(e.u, e.v)
-
-    def remap(w: int) -> int:
-        if w == b:
-            return a
-        return w - 1 if w > b else w
-
+    # b merges into a and the vertices above b shift down; edges below b stay
     edges = tuple(
-        Edge(remap(f.u), remap(f.v), f.sign)
-        for i, f in enumerate(g.edges)
-        if i != edge_id
+        f if f.u < b and f.v < b
+        else Edge(a if f.u == b else f.u - (f.u > b), a if f.v == b else f.v - (f.v > b), f.sign)
+        for f in g.edges[:edge_id] + g.edges[edge_id + 1 :]
     )
     return _derived(g.num_vertices - 1, edges)
 
@@ -248,6 +243,20 @@ def make_edge_positive(g: SignedGraph, edge_id: int) -> SignedGraph:
     return switch(g, {min(e.u, e.v)})
 
 
+def drop_edgeless_vertices(g: SignedGraph) -> SignedGraph:
+    """``g`` without its edgeless vertices, the others relabeled densely in
+    order and the edge order kept; ``g`` itself when every vertex has an edge.
+
+    No flow count depends on an edgeless vertex, so the engine and the oracle
+    call this once, at entry, and then never allocate per declared vertex.
+    """
+    used = sorted({w for e in g.edges for w in (e.u, e.v)})
+    if len(used) == g.num_vertices:
+        return g
+    label = {v: i for i, v in enumerate(used)}
+    return _derived(len(used), tuple(Edge(label[e.u], label[e.v], e.sign) for e in g.edges))
+
+
 def connected_components(g: SignedGraph) -> list[SignedGraph]:
     """Split into vertex-disjoint components, each densely relabeled.
 
@@ -263,10 +272,14 @@ def connected_components(g: SignedGraph) -> list[SignedGraph]:
             w = parent[w]
         return w
 
+    parts = g.num_vertices
     for e in g.edges:
         ru, rv = find(e.u), find(e.v)
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
+            parts -= 1
+    if parts == 1:
+        return [g]
 
     comp, label, sizes = [0] * g.num_vertices, [0] * g.num_vertices, []
     for v in range(g.num_vertices):
@@ -277,9 +290,6 @@ def connected_components(g: SignedGraph) -> list[SignedGraph]:
         c = comp[v] = comp[r]
         label[v] = sizes[c]
         sizes[c] += 1
-    if len(sizes) == 1:
-        return [g]
-
     edges: list[list[Edge]] = [[] for _ in sizes]
     for e in g.edges:
         edges[comp[e.u]].append(Edge(label[e.u], label[e.v], e.sign))

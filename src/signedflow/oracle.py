@@ -7,7 +7,7 @@ plain Python ints, so they never overflow.
 
 from __future__ import annotations
 
-from .graph import Edge, Orientation, SignedGraph, default_orientation
+from .graph import Edge, Orientation, SignedGraph, default_orientation, drop_edgeless_vertices
 from .groups import FiniteAbelianGroup, GroupElement
 
 DEFAULT_BUDGET = 10**8
@@ -159,14 +159,15 @@ def count_group_flows(
 
     Enumerates all (order-1)^m nowhere-zero assignments in edge-id order
     with per-vertex pruning.  The count does not depend on the orientation;
-    ``tau`` exists so tests can check exactly that.
+    ``tau`` exists so tests can check exactly that.  Edgeless vertices are
+    dropped first, so the search never holds a list per declared vertex.
     """
     if tau is None:
         tau = default_orientation(g)
     if g.num_edges == 0:
         return 1
     _check_budget((gamma.order - 1) ** g.num_edges, budget)
-    return _count_flows(g, tau, gamma, list(range(1, gamma.order)))
+    return _count_flows(drop_edgeless_vertices(g), tau, gamma, list(range(1, gamma.order)))
 
 
 def count_integer_nflows(g: SignedGraph, n: int, *, budget: int = DEFAULT_BUDGET) -> int:
@@ -175,12 +176,14 @@ def count_integer_nflows(g: SignedGraph, n: int, *, budget: int = DEFAULT_BUDGET
     Counted as flows in Z_N with values +-1..+-(n-1) mod N, where
     N = (n-1) * (largest half-edge degree) + 1: every vertex sum s has
     |s| <= (n-1) * (half-edge degree) < N, so s = 0 exactly when s = 0 mod N.
+    Edgeless vertices are dropped first, as in :func:`count_group_flows`.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if g.num_edges == 0:
         return 1
     _check_budget((2 * n - 2) ** g.num_edges, budget)
+    g = drop_edgeless_vertices(g)
     half_degree = [0] * g.num_vertices
     for e in g.edges:
         half_degree[e.u] += 1

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from signedflow import abelian_groups_up_to, cli, parse_graph_text, signatures_equivalent
+from signedflow import SignedGraph, abelian_groups_up_to, cli, parse_graph_text, signatures_equivalent
 from signedflow.graph import graph_to_text
 
 from corpusgen import BARBELL, NEG_LOOP, POS_LOOP, TRIANGLE, g
@@ -91,6 +91,23 @@ class TestPoly:
 
 
 class TestVerify:
+    def test_isolated_vertices_are_ignored(self, capsys, write_graph):
+        digon = g(2, (0, 1, 1), (0, 1, -1))
+        padded = SignedGraph.from_edges(10**6, [(0, 999_999, 1), (0, 999_999, -1)])
+        reports = []
+        for graph in (digon, padded):
+            path = write_graph(graph)
+            runs = [("count", "--group", "4"), ("count", "--group", "3"), ("verify", "--max-order", "3")]
+            results = []
+            for argv in runs:
+                code, out = run_cli(capsys, *argv, "--graph", path, "--json")
+                assert code == 0
+                results.append(json.loads(out)["results"])
+            reports.append(results)
+        assert [r["count"] for r in reports[1][:2]] == [r["count"] for r in reports[0][:2]] == [1, 0]
+        assert reports[1][2] == reports[0][2]
+        assert reports[1][2]["all_pass"]
+
     def test_all_pass_on_sound_engine(self, capsys, write_graph):
         code, out = run_cli(
             capsys, "verify", "--graph", write_graph(BARBELL), "--max-order", "9"

@@ -1,8 +1,9 @@
 import itertools
+import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from signedflow import (
@@ -132,6 +133,19 @@ class TestDoubleSumSolutions:
 ORDER9_GROUPS = abelian_groups_up_to(9)
 
 
+def prism(k: int, order: str) -> SignedGraph:
+    """C_k x K2 with fixed signs: outer cycle 0..k-1, inner cycle k..2k-1 and
+    rungs i -- k+i, listed cycle by cycle or one rung at a time."""
+    outer = [(i, (i + 1) % k) for i in range(k)]
+    inner = [(k + i, k + (i + 1) % k) for i in range(k)]
+    rungs = [(i, k + i) for i in range(k)]
+    rng = random.Random(k)
+    sign = {p: rng.choice((1, -1)) for p in outer + inner + rungs}
+    pairs = (outer + inner + rungs if order == "cycle"
+             else [p for i in range(k) for p in (rungs[i], outer[i], inner[i])])
+    return SignedGraph.from_edges(2 * k, [(u, v, sign[u, v]) for u, v in pairs])
+
+
 def oracle_agrees(graph: SignedGraph) -> bool:
     polys: dict[int, Poly] = {}
     for gamma in ORDER9_GROUPS:
@@ -207,6 +221,11 @@ class TestFlowPolynomial:
             g(4, (0, 1, 1), (1, 2, 1), (2, 3, -1), (0, 3, 1), (0, 2, -1)),
             k4_with_signs([-1, 1, 1, 1, 1, 1]),
             k4_with_signs([-1] * 6),
+            # K4 with edges 0-1 (negative) and 2-3 (positive) subdivided
+            g(6, (0, 4, 1), (4, 1, -1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1),
+              (2, 5, -1), (5, 3, -1)),
+            # K4 with a pendant path 3-4-5
+            g(6, *k4_with_signs([-1, 1, 1, 1, 1, 1]).edges, (3, 4, 1), (4, 5, -1)),
         ],
     )
     def test_agrees_with_oracle_on_groups_up_to_order_9(self, graph):
@@ -231,6 +250,35 @@ class TestFlowPolynomial:
         else:
             x = set()
         assert flow_polynomial(graph, d) == flow_polynomial(switch(graph, x), d)
+
+    @given(signed_graphs(max_vertices=4, max_edges=5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_subdividing_an_edge_keeps_every_f_d(self, graph, data):
+        # the new vertex has two half-edges, so the recursion meets the series rule
+        non_loops = [i for i, e in enumerate(graph.edges) if not e.is_loop()]
+        assume(non_loops)
+        i = data.draw(st.sampled_from(non_loops))
+        e = graph.edges[i]
+        s = data.draw(st.sampled_from((1, -1)))
+        w = graph.num_vertices
+        halves = (Edge(e.u, w, s), Edge(w, e.v, s * e.sign))
+        subdivided = SignedGraph(w + 1, graph.edges[:i] + halves + graph.edges[i + 1 :])
+        assert flow_polynomial_family(subdivided, 2).entries == flow_polynomial_family(graph, 2).entries
+
+    @given(signed_graphs(max_vertices=4, max_edges=5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_pendant_edge_makes_every_f_d_zero(self, graph, data):
+        assume(graph.num_vertices)
+        v = data.draw(st.integers(0, graph.num_vertices - 1))
+        s = data.draw(st.sampled_from((1, -1)))
+        pendant = SignedGraph(graph.num_vertices + 1, graph.edges + (Edge(v, graph.num_vertices, s),))
+        assert all(p.is_zero() for p in flow_polynomial_family(pendant, 3).entries.values())
+
+    def test_prism_edge_orders_agree(self):
+        # cycle order takes the deletion branch far more often than rung order
+        cycle = flow_polynomial_family(prism(8, "cycle"), 3).entries
+        assert cycle == flow_polynomial_family(prism(8, "rung"), 3).entries
+        assert not cycle[0].is_zero()
 
     def test_balanced_graphs_depend_only_on_group_order(self):
         for graph in [POS_LOOP, TRIANGLE, g(2, (0, 1, 1), (0, 1, 1), (0, 1, 1)), k4_with_signs([1] * 6)]:

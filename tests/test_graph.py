@@ -23,6 +23,8 @@ from signedflow import (
     switch,
 )
 
+from signedflow.graph import drop_edgeless_vertices
+
 from corpusgen import (
     DIGON_PM,
     DIGON_PP,
@@ -273,6 +275,12 @@ class TestContractEdge:
         got = contract_edge(graph, 0)
         assert got == g(3, (0, 2, -1), (1, 2, 1))
 
+    def test_edges_below_the_merged_vertex_are_kept(self):
+        graph = g(5, (0, 2, -1), (3, 1, 1), (4, 0, 1), (1, 1, -1), (3, 3, 1))
+        got = contract_edge(graph, 1)
+        assert got == g(4, (0, 2, -1), (3, 0, 1), (1, 1, -1), (1, 1, 1))
+        assert got.edges[0] is graph.edges[0] and got.edges[2] is graph.edges[3]
+
     def test_loop_and_negative_preconditions(self):
         with pytest.raises(ValueError):
             contract_edge(POS_LOOP, 0)
@@ -348,9 +356,21 @@ class TestConnectedComponents:
         ]
 
 
+class TestDropEdgelessVertices:
+    def test_relabels_in_order_and_keeps_edge_order(self):
+        graph = g(6, (4, 1, -1), (4, 4, 1), (1, 3, 1))
+        assert drop_edgeless_vertices(graph) == g(3, (2, 0, -1), (2, 2, 1), (0, 1, 1))
+
+    def test_graph_without_edgeless_vertices_is_returned_itself(self):
+        for graph in (TRIANGLE, NEG_LOOP, g(0)):
+            assert drop_edgeless_vertices(graph) is graph
+        assert drop_edgeless_vertices(g(3)) == g(0)
+
+
 def _rewrites(graph: SignedGraph):
     """Every graph the rewrites derive from ``graph`` in one step."""
     yield from connected_components(graph)
+    yield drop_edgeless_vertices(graph)
     yield switch(graph, range(0, graph.num_vertices, 2))
     for i, e in enumerate(graph.edges):
         yield delete_edge(graph, i)

@@ -205,6 +205,13 @@ class TestIntegerFlows:
         with pytest.raises(ValueError):
             count_integer_nflows(POS_LOOP, 0)
 
+    def test_isolated_vertices_are_ignored(self):
+        padded = g(10**6, (0, 0, -1), (999_999, 999_999, -1), (0, 999_999, 1))
+        assert [count_integer_nflows(padded, n) for n in range(1, 7)] == [0, 0, 2, 2, 4, 4]
+        tau = Orientation(((1, 1), (-1, -1), (1, -1)))
+        for gamma in (Z3, Z4, K4GROUP):
+            assert count_group_flows(padded, gamma, tau=tau) == count_group_flows(BARBELL, gamma)
+
     @pytest.mark.parametrize(
         "graph",
         [
