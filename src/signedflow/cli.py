@@ -205,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
         if budget:
             sp.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
-                            help="maximum enumeration size in leaf visits")
+                            help="maximum enumeration size in nowhere-zero assignments")
 
     sp = sub.add_parser("count", help="count nowhere-zero flows over one group")
     common(sp, budget=True)

@@ -1,13 +1,25 @@
-"""Brute-force ground truth for flow counting.
+"""Ground truth for flow counting, independent of deletion-contraction.
 
-Exhaustive depth-first enumeration with per-vertex pruning; exactness over
-speed, with a search-size guard instead of silent long runs.  Counts are
-plain Python ints, so they never overflow.
+One enumerator counts assignments edge by edge with a frontier transfer
+matrix: partial assignments that leave the same sums at the vertices still
+open are counted together, and the last edge at a vertex takes only the
+values that make its sum zero.  Exactness over speed, with a search-size
+guard instead of silent long runs.  Counts are plain Python ints, so they
+never overflow.
 """
 
 from __future__ import annotations
 
-from .graph import Edge, Orientation, SignedGraph, default_orientation, drop_edgeless_vertices
+from collections import Counter
+
+from .graph import (
+    Edge,
+    Orientation,
+    SignedGraph,
+    default_orientation,
+    drop_edgeless_vertices,
+    frontier_order,
+)
 from .groups import FiniteAbelianGroup, GroupElement
 
 DEFAULT_BUDGET = 10**8
@@ -16,7 +28,7 @@ FlowAssignment = dict[int, GroupElement]
 
 
 class BudgetExceededError(Exception):
-    """The estimated search size exceeds the leaf-visit budget."""
+    """The number of nowhere-zero assignments to search exceeds the budget."""
 
     def __init__(self, message: str, estimated_leaves: int | None = None):
         super().__init__(message)
@@ -26,22 +38,9 @@ class BudgetExceededError(Exception):
 def _check_budget(leaves: int, budget: int) -> None:
     if leaves > budget:
         raise BudgetExceededError(
-            f"estimated search size {leaves} leaf visits exceeds budget {budget}",
+            f"estimated search size {leaves} nowhere-zero assignments exceeds budget {budget}",
             estimated_leaves=leaves,
         )
-
-
-def _completion_schedule(g: SignedGraph) -> list[tuple[int, ...]]:
-    """For each edge id, the vertices whose incident edges are then all assigned."""
-    last = [-1] * g.num_vertices
-    for i, e in enumerate(g.edges):
-        last[e.u] = max(last[e.u], i)
-        last[e.v] = max(last[e.v], i)
-    checks: list[list[int]] = [[] for _ in range(g.num_edges)]
-    for v, i in enumerate(last):
-        if i >= 0:
-            checks[i].append(v)
-    return [tuple(c) for c in checks]
 
 
 def verify_flow(
@@ -76,14 +75,19 @@ def _count_flows(
     Kirchhoff's law at every vertex; the oracle's only enumerator.
 
     ``values`` are element indices of ``gamma`` (see ``index_table``) and may
-    repeat.  Edges are assigned in id order; a branch is cut as soon as every
-    edge at some vertex has a value and its sum is nonzero.  Row s of the
-    addition table is built the first time a vertex sum s is extended, so
-    table work never outgrows the search.
+    repeat.  A frontier transfer-matrix count: edges are taken in
+    :func:`frontier_order`, and a vertex is open from its first edge to its
+    last.  A state holds the sums at the open vertices and maps to the
+    number of partial assignments that reach it.  The edge that closes a
+    vertex is forced: only values whose contribution there negates the
+    vertex's sum survive, and they are looked up, not looped over.
+
+    A state is one int whose base-``order`` digits are the sums, one digit
+    slot per open vertex.  A closed vertex's digit is 0 in every surviving
+    state, so its slot passes unchanged to the next vertex opened.  Row s of
+    the addition table is built the first time a sum s is extended.
     """
-    m = g.num_edges
-    if m == 0:
-        return 1
+    r = gamma.order
     scaled: dict[int, list[int]] = {}
 
     def times(k: int) -> list[int]:
@@ -93,59 +97,95 @@ def _count_flows(
             scaled[k] = [table[x] for x in values]
         return scaled[k]
 
-    # per value, what the edge adds at u (and at v); a loop adds tau0*x + tau1*x
-    # at its one vertex: 0 if positive, +-2x if negative
-    plan = [
-        (e.u, times(t0 + t1), None) if e.is_loop()
-        else (e.u, list(zip(times(t0), times(t1))), e.v)
-        for e, (t0, t1) in zip(g.edges, tau.taus)
-    ]
-    checks = _completion_schedule(g)
     # every row refers to these int objects rather than holding its own copies
-    ids = list(range(gamma.order))
-    rows: list[list[int] | None] = [None] * gamma.order
-    sums = [0] * g.num_vertices
+    ids = list(range(r))
+    rows: list[list[int] | None] = [None] * r
 
     def row(s: int) -> list[int]:
         rows[s] = [ids[x] for x in gamma.index_table(s, 1)]
         return rows[s]
 
-    def rec(i: int) -> int:
-        if i == m:
-            return 1
-        u, step, v = plan[i]
-        chk = checks[i]
-        su = sums[u]
-        row_u = rows[su] or row(su)
-        total = 0
-        if v is None:
-            for a in step:
-                sums[u] = row_u[a]
-                ok = True
-                for w in chk:
-                    if sums[w]:
-                        ok = False
-                        break
-                if ok:
-                    total += rec(i + 1)
+    neg = gamma.index_table(0, -1)
+    order = frontier_order(g)
+    last = [-1] * g.num_vertices
+    for pos, i in enumerate(order):
+        e = g.edges[i]
+        last[e.u] = last[e.v] = pos
+    slot = [-1] * g.num_vertices
+    free: list[int] = []
+    width = 0
+    states = {0: 1}
+    for pos, i in enumerate(order):
+        (u, v, _), (t0, t1) = g.edges[i], tau.taus[i]
+        for w in (u, v):
+            if slot[w] < 0:
+                if free:
+                    slot[w] = free.pop()
+                else:
+                    slot[w] = width
+                    width += 1
+        pu, pv = r ** slot[u], r ** slot[v]
+        closes_u, closes_v = last[u] == pos, last[v] == pos
+        if closes_u:
+            free.append(slot[u])
+        if closes_v and v != u:
+            free.append(slot[v])
+        new: dict[int, int] = {}
+        get = new.get
+        if u == v:
+            # a loop adds tau0*x + tau1*x at its one vertex
+            steps = Counter(times(t0 + t1))
+            if closes_u:
+                for s, c in states.items():
+                    su = s // pu % r
+                    k = steps.get(neg[su])
+                    if k:
+                        key = s - su * pu
+                        new[key] = get(key, 0) + c * k
+            else:
+                for s, c in states.items():
+                    su = s // pu % r
+                    row_u = rows[su] or row(su)
+                    base = s - su * pu
+                    for a, k in steps.items():
+                        key = base + row_u[a] * pu
+                        new[key] = get(key, 0) + c * k
+        elif closes_u and closes_v:
+            pairs = Counter(zip(times(t0), times(t1)))
+            for s, c in states.items():
+                su, sv = s // pu % r, s // pv % r
+                k = pairs.get((neg[su], neg[sv]))
+                if k:
+                    key = s - su * pu - sv * pv
+                    new[key] = get(key, 0) + c * k
+        elif closes_u or closes_v:
+            # swap the ends so that u closes and v stays open
+            if closes_v:
+                pu, pv, t0, t1 = pv, pu, t1, t0
+            forced: dict[int, list[tuple[int, int]]] = {}
+            for (a, b), k in Counter(zip(times(t0), times(t1))).items():
+                forced.setdefault(a, []).append((b, k))
+            for s, c in states.items():
+                su, sv = s // pu % r, s // pv % r
+                steps_v = forced.get(neg[su])
+                if steps_v:
+                    row_v = rows[sv] or row(sv)
+                    base = s - su * pu - sv * pv
+                    for b, k in steps_v:
+                        key = base + row_v[b] * pv
+                        new[key] = get(key, 0) + c * k
         else:
-            sv = sums[v]
-            row_v = rows[sv] or row(sv)
-            for a, b in step:
-                sums[u] = row_u[a]
-                sums[v] = row_v[b]
-                ok = True
-                for w in chk:
-                    if sums[w]:
-                        ok = False
-                        break
-                if ok:
-                    total += rec(i + 1)
-            sums[v] = sv
-        sums[u] = su
-        return total
-
-    return rec(0)
+            pair_items = list(Counter(zip(times(t0), times(t1))).items())
+            for s, c in states.items():
+                su, sv = s // pu % r, s // pv % r
+                row_u = rows[su] or row(su)
+                row_v = rows[sv] or row(sv)
+                base = s - su * pu - sv * pv
+                for (a, b), k in pair_items:
+                    key = base + row_u[a] * pu + row_v[b] * pv
+                    new[key] = get(key, 0) + c * k
+        states = new
+    return states.get(0, 0)
 
 
 def count_group_flows(
@@ -157,10 +197,11 @@ def count_group_flows(
 ) -> int:
     """Exact number of nowhere-zero flows with values in ``gamma``.
 
-    Enumerates all (order-1)^m nowhere-zero assignments in edge-id order
-    with per-vertex pruning.  The count does not depend on the orientation;
-    ``tau`` exists so tests can check exactly that.  Edgeless vertices are
-    dropped first, so the search never holds a list per declared vertex.
+    Counts all (order-1)^m nowhere-zero assignments with the frontier
+    transfer matrix of ``_count_flows``; the budget bounds (order-1)^m.  The
+    count does not depend on the orientation; ``tau`` exists so tests can
+    check exactly that.  Edgeless vertices are dropped first, so the count
+    never holds a list per declared vertex.
     """
     if tau is None:
         tau = default_orientation(g)

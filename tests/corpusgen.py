@@ -124,3 +124,24 @@ def vertex_subsets(draw, graph: SignedGraph):
     return frozenset(
         draw(st.sets(st.integers(0, graph.num_vertices - 1), max_size=graph.num_vertices))
     )
+
+
+@st.composite
+def loop_and_multi_edge_graphs(draw, min_vertices: int = 4, max_vertices: int = 8, max_edges: int = 14):
+    """Graphs whose edges fall on a few vertex pairs, so most edges are
+    loops or parallel to another edge.
+
+    The pairs form a random spanning tree with up to two extra pairs and up
+    to three loop vertices.  Each pair carries a class of up to four edges
+    with drawn signs; classes are kept while they fit in ``max_edges``.
+    """
+    nv = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)), max_size=2))
+    pairs += [(v, v) for v in draw(st.lists(st.integers(0, nv - 1), max_size=3))]
+    triples: list[tuple[int, int, int]] = []
+    for u, v in pairs:
+        signs = draw(st.lists(st.sampled_from((1, -1)), max_size=4))
+        if len(triples) + len(signs) <= max_edges:
+            triples += [(u, v, s) for s in signs]
+    return SignedGraph.from_edges(nv, triples)

@@ -67,6 +67,12 @@ class TestCount:
         )
         assert code == 3
 
+    def test_twelve_hundred_parallel_edges(self, capsys, write_graph):
+        graph = SignedGraph(2, ((0, 1, 1),) * 1200)
+        code, out = run_cli(capsys, "count", "--graph", write_graph(graph), "--group", "2")
+        assert code == 0
+        assert "nowhere-zero flows: 1" in out
+
 
 class TestPoly:
     def test_negative_loop_table(self, capsys, write_graph):

@@ -23,7 +23,7 @@ from signedflow import (
     switch,
 )
 
-from signedflow.graph import drop_edgeless_vertices
+from signedflow.graph import drop_edgeless_vertices, frontier_order
 
 from corpusgen import (
     DIGON_PM,
@@ -365,6 +365,55 @@ class TestDropEdgelessVertices:
         for graph in (TRIANGLE, NEG_LOOP, g(0)):
             assert drop_edgeless_vertices(graph) is graph
         assert drop_edgeless_vertices(g(3)) == g(0)
+
+
+def open_vertex_peak(graph: SignedGraph, order: list[int]) -> int:
+    """Most vertices that have some but not all of their edges processed."""
+    last = {}
+    for pos, i in enumerate(order):
+        for w in (graph.edges[i].u, graph.edges[i].v):
+            last[w] = pos
+    open_now: set[int] = set()
+    peak = 0
+    for pos, i in enumerate(order):
+        e = graph.edges[i]
+        open_now |= {e.u, e.v}
+        peak = max(peak, len(open_now))
+        open_now -= {w for w in (e.u, e.v) if last[w] == pos}
+    return peak
+
+
+class TestFrontierOrder:
+    def test_path_listed_out_of_order_is_walked_from_an_end(self):
+        path = g(4, (2, 3, 1), (0, 1, -1), (1, 2, 1))
+        assert frontier_order(path) == [1, 2, 0]
+
+    def test_search_starts_at_a_vertex_of_least_degree(self):
+        # vertex 2 has degree 1 (the others 3 and 2), so it is numbered first
+        graph = g(3, (0, 1, 1), (0, 0, -1), (1, 2, 1))
+        assert frontier_order(graph) == [2, 0, 1]
+
+    def test_each_component_gets_its_own_search(self):
+        # two digons listed interleaved come out one after the other
+        graph = g(4, (0, 1, 1), (2, 3, 1), (0, 1, -1), (2, 3, -1))
+        assert frontier_order(graph) == [0, 2, 1, 3]
+
+    def test_empty_graphs(self):
+        assert frontier_order(g(0)) == []
+        assert frontier_order(g(3)) == []
+
+    @given(signed_graphs(max_vertices=6, max_edges=8))
+    @settings(max_examples=40, deadline=None)
+    def test_is_a_permutation_of_the_edge_ids(self, graph):
+        assert sorted(frontier_order(graph)) == list(range(graph.num_edges))
+
+    def test_prism_listed_cycle_by_cycle_keeps_few_vertices_open(self):
+        k = 10
+        pairs = ([(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+                 + [(i, k + i) for i in range(k)])
+        prism = SignedGraph.from_edges(2 * k, [(u, v, 1) for u, v in pairs])
+        assert open_vertex_peak(prism, list(range(prism.num_edges))) == 2 * k
+        assert open_vertex_peak(prism, frontier_order(prism)) <= 6
 
 
 def _rewrites(graph: SignedGraph):

@@ -16,6 +16,7 @@ from signedflow import (
     delete_edge,
     flow_polynomial,
     make_edge_positive,
+    nonzero_sum_count,
     reverse_edge,
     switch,
     verify_flow,
@@ -35,6 +36,7 @@ from corpusgen import (
     TWO_NEG_LOOPS,
     ZOO,
     g,
+    loop_and_multi_edge_graphs,
     signed_graphs,
 )
 
@@ -46,6 +48,19 @@ K4GROUP = FiniteAbelianGroup((2, 2))
 TRIVIAL = FiniteAbelianGroup(())
 
 SMALL_GROUPS = abelian_groups_up_to(6)
+
+
+def product_reference(graph: SignedGraph, gamma: FiniteAbelianGroup, tau: Orientation) -> int:
+    """Nowhere-zero flows by trying every assignment, sums built by group
+    arithmetic: tau(e, slot) * x at each half-edge."""
+    count = 0
+    for xs in itertools.product(list(gamma.nonzero_elements()), repeat=graph.num_edges):
+        sums = [gamma.zero()] * graph.num_vertices
+        for x, e, taus in zip(xs, graph.edges, tau.taus):
+            for w, t in zip((e.u, e.v), taus):
+                sums[w] = gamma.add(sums[w], x if t == 1 else gamma.negate(x))
+        count += all(gamma.is_zero(s) for s in sums)
+    return count
 
 
 class TestVerifyFlow:
@@ -113,6 +128,40 @@ class TestCountGroupFlows:
                     if verify_flow(graph, tau, gamma, dict(enumerate(values)))
                 )
                 assert count_group_flows(graph, gamma) == naive
+
+    @given(
+        signed_graphs(max_vertices=3, max_edges=4),
+        st.sampled_from(abelian_groups_up_to(4)),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_product_reference_on_random_graphs(self, graph, gamma, data):
+        flips = data.draw(st.lists(st.booleans(), min_size=graph.num_edges, max_size=graph.num_edges))
+        tau = Orientation(tuple(
+            (-t0, -t1) if flip else (t0, t1)
+            for (t0, t1), flip in zip(default_orientation(graph).taus, flips)
+        ))
+        assert count_group_flows(graph, gamma, tau=tau) == product_reference(graph, gamma, tau)
+
+    @given(loop_and_multi_edge_graphs(max_vertices=6, max_edges=10),
+           st.sampled_from(SMALL_GROUPS), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_relabeling_and_edge_order_do_not_matter(self, graph, gamma, data):
+        relabel = data.draw(st.permutations(range(graph.num_vertices)))
+        order = data.draw(st.permutations(range(graph.num_edges)))
+        shuffled = SignedGraph.from_edges(
+            graph.num_vertices,
+            [(relabel[graph.edges[i].u], relabel[graph.edges[i].v], graph.edges[i].sign) for i in order],
+        )
+        # (order-1)^m reaches 5^10, above the default budget
+        assert count_group_flows(shuffled, gamma, budget=5**10) == count_group_flows(
+            graph, gamma, budget=5**10
+        )
+
+    def test_twelve_hundred_parallel_edges(self):
+        # one frame per edge would exceed Python's recursion limit here
+        graph = SignedGraph(2, ((0, 1, 1),) * 1200)
+        assert count_group_flows(graph, Z3, budget=2**1200) == nonzero_sum_count(1200, 3)
 
 
 class TestOrientationAndSwitchingInvariance:
