@@ -25,8 +25,6 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-_INPUT_KEYS = ("graph", "other", "group", "d_max", "max_order", "n_max", "fit", "vertices", "budget")
-
 
 def _load_graph(path: str) -> SignedGraph:
     try:
@@ -63,7 +61,7 @@ def _poly_json(p: Poly) -> dict:
 
 
 def _inputs_of(args: argparse.Namespace) -> dict:
-    return {k: getattr(args, k) for k in _INPUT_KEYS if getattr(args, k, None) is not None}
+    return {k: v for k, v in vars(args).items() if k not in ("command", "json") and v is not None}
 
 
 def _group_json(g: FiniteAbelianGroup) -> dict:
@@ -205,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
         if budget:
             sp.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
-                            help="maximum enumeration size in nowhere-zero assignments")
+                            help="most transfer-matrix steps a count may take")
 
     sp = sub.add_parser("count", help="count nowhere-zero flows over one group")
     common(sp, budget=True)

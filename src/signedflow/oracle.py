@@ -3,9 +3,9 @@
 One enumerator counts assignments edge by edge with a frontier transfer
 matrix: partial assignments that leave the same sums at the vertices still
 open are counted together, and the last edge at a vertex takes only the
-values that make its sum zero.  Exactness over speed, with a search-size
-guard instead of silent long runs.  Counts are plain Python ints, so they
-never overflow.
+values that make its sum zero.  Exactness over speed, with a budget on the
+transfer-matrix steps, bounded before the count starts, instead of silent
+long runs.  Counts are plain Python ints, so they never overflow.
 """
 
 from __future__ import annotations
@@ -28,19 +28,7 @@ FlowAssignment = dict[int, GroupElement]
 
 
 class BudgetExceededError(Exception):
-    """The number of nowhere-zero assignments to search exceeds the budget."""
-
-    def __init__(self, message: str, estimated_leaves: int | None = None):
-        super().__init__(message)
-        self.estimated_leaves = estimated_leaves
-
-
-def _check_budget(leaves: int, budget: int) -> None:
-    if leaves > budget:
-        raise BudgetExceededError(
-            f"estimated search size {leaves} nowhere-zero assignments exceeds budget {budget}",
-            estimated_leaves=leaves,
-        )
+    """The transfer-matrix steps a count may take exceed the budget."""
 
 
 def verify_flow(
@@ -69,48 +57,84 @@ def verify_flow(
 
 
 def _count_flows(
-    g: SignedGraph, tau: Orientation, gamma: FiniteAbelianGroup, values: list[int]
+    g: SignedGraph, tau: Orientation, gamma: FiniteAbelianGroup, values: tuple[range, ...], budget: int
 ) -> int:
     """Number of assignments of ``values`` to the edges of g that satisfy
     Kirchhoff's law at every vertex; the oracle's only enumerator.
 
-    ``values`` are element indices of ``gamma`` (see ``index_table``) and may
-    repeat.  A frontier transfer-matrix count: edges are taken in
-    :func:`frontier_order`, and a vertex is open from its first edge to its
-    last.  A state holds the sums at the open vertices and maps to the
-    number of partial assignments that reach it.  The edge that closes a
-    vertex is forced: only values whose contribution there negates the
-    vertex's sum survive, and they are looked up, not looped over.
+    ``values`` are ranges of element indices of ``gamma`` (see
+    ``index_table``); an index in two ranges is two values.  A frontier
+    transfer-matrix count: edges are taken in :func:`frontier_order`, and a
+    vertex is open from its first edge to its last.  A state holds the sums
+    at the open vertices and maps to the number of partial assignments that
+    reach it.  The edge that closes a vertex is forced: the value whose
+    contribution there negates the vertex's sum is looked up, not looped over.
 
     A state is one int whose base-``order`` digits are the sums, one digit
     slot per open vertex.  A closed vertex's digit is 0 in every surviving
     state, so its slot passes unchanged to the next vertex opened.  Row s of
     the addition table is built the first time a sum s is extended.
+
+    Edgeless vertices are dropped first, so nothing is held per declared
+    vertex.  Before any table is built, one pass bounds the steps (a state
+    extended by a value, or a table entry): 4 * order + len(values) for the
+    fixed tables; at each edge, (states before it) * (1 if it closes an end,
+    else len(values)), 2 * (order + len(values)) for value tables and order
+    per addition-table row, one per sum at an end it leaves open.  There are
+    at most min(order^open, previous bound * fanout) states.  Past ``budget``
+    steps, ``BudgetExceededError`` is raised.
     """
-    r = gamma.order
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+    g = drop_edgeless_vertices(g)
+    if not g.edges:
+        return 1
+    r, num_values = gamma.order, sum(map(len, values))
+    order = frontier_order(g)
+    last = [-1] * g.num_vertices
+    for pos, i in enumerate(order):
+        e = g.edges[i]
+        last[e.u] = last[e.v] = pos
+    seen = [False] * g.num_vertices
+    num_open = 0
+    steps = 4 * r + num_values
+    bound = 1
+    for pos, i in enumerate(order):
+        u, v, _ = g.edges[i]
+        fanout = 1 if pos in (last[u], last[v]) else num_values
+        left_open = len({w for w in (u, v) if last[w] != pos})
+        steps += bound * fanout + 2 * (r + num_values) + min(bound * left_open, r) * r
+        if steps > budget:
+            raise BudgetExceededError(
+                f"up to {steps} transfer-matrix steps by edge {pos + 1} of {len(order)} "
+                f"with {num_open} vertices open exceed budget {budget}"
+            )
+        for w in {u, v}:
+            num_open += (not seen[w]) - (last[w] == pos)
+            seen[w] = True
+        bound = min(bound * fanout, r**num_open)
+
     scaled: dict[int, list[int]] = {}
 
     def times(k: int) -> list[int]:
         """Index of k * x for every value x."""
         if k not in scaled:
             table = gamma.index_table(0, k)
-            scaled[k] = [table[x] for x in values]
+            scaled[k] = [table[x] for part in values for x in part]
         return scaled[k]
 
+    neg = gamma.index_table(0, -1)
     # every row refers to these int objects rather than holding its own copies
     ids = list(range(r))
+    mult = [0] * r
+    for p in values:
+        mult[p.start : p.stop] = [m + 1 for m in mult[p.start : p.stop]]
     rows: list[list[int] | None] = [None] * r
 
     def row(s: int) -> list[int]:
         rows[s] = [ids[x] for x in gamma.index_table(s, 1)]
         return rows[s]
 
-    neg = gamma.index_table(0, -1)
-    order = frontier_order(g)
-    last = [-1] * g.num_vertices
-    for pos, i in enumerate(order):
-        e = g.edges[i]
-        last[e.u] = last[e.v] = pos
     slot = [-1] * g.num_vertices
     free: list[int] = []
     width = 0
@@ -119,11 +143,8 @@ def _count_flows(
         (u, v, _), (t0, t1) = g.edges[i], tau.taus[i]
         for w in (u, v):
             if slot[w] < 0:
-                if free:
-                    slot[w] = free.pop()
-                else:
-                    slot[w] = width
-                    width += 1
+                slot[w] = free.pop() if free else width
+                width = max(width, slot[w] + 1)
         pu, pv = r ** slot[u], r ** slot[v]
         closes_u, closes_v = last[u] == pos, last[v] == pos
         if closes_u:
@@ -134,11 +155,11 @@ def _count_flows(
         get = new.get
         if u == v:
             # a loop adds tau0*x + tau1*x at its one vertex
-            steps = Counter(times(t0 + t1))
+            adds = Counter(times(t0 + t1))
             if closes_u:
                 for s, c in states.items():
                     su = s // pu % r
-                    k = steps.get(neg[su])
+                    k = adds.get(neg[su])
                     if k:
                         key = s - su * pu
                         new[key] = get(key, 0) + c * k
@@ -147,43 +168,36 @@ def _count_flows(
                     su = s // pu % r
                     row_u = rows[su] or row(su)
                     base = s - su * pu
-                    for a, k in steps.items():
+                    for a, k in adds.items():
                         key = base + row_u[a] * pu
                         new[key] = get(key, 0) + c * k
-        elif closes_u and closes_v:
-            pairs = Counter(zip(times(t0), times(t1)))
-            for s, c in states.items():
-                su, sv = s // pu % r, s // pv % r
-                k = pairs.get((neg[su], neg[sv]))
-                if k:
-                    key = s - su * pu - sv * pv
-                    new[key] = get(key, 0) + c * k
         elif closes_u or closes_v:
-            # swap the ends so that u closes and v stays open
-            if closes_v:
+            both = closes_u and closes_v
+            if not closes_u:  # swap the ends so that u closes
                 pu, pv, t0, t1 = pv, pu, t1, t0
-            forced: dict[int, list[tuple[int, int]]] = {}
-            for (a, b), k in Counter(zip(times(t0), times(t1))).items():
-                forced.setdefault(a, []).append((b, k))
+            # the forced value x has tau0*x = -su; it is mult[x_of[su]] values,
+            # and adds tau1*x = b_of[su] at v
+            x_of = neg if t0 == 1 else ids
+            b_of = neg if t0 == t1 else ids
             for s, c in states.items():
                 su, sv = s // pu % r, s // pv % r
-                steps_v = forced.get(neg[su])
-                if steps_v:
-                    row_v = rows[sv] or row(sv)
-                    base = s - su * pu - sv * pv
-                    for b, k in steps_v:
-                        key = base + row_v[b] * pv
-                        new[key] = get(key, 0) + c * k
+                k = mult[x_of[su]]
+                # when v closes too, tau1*x must negate its sum
+                if k and (not both or neg[b_of[su]] == sv):
+                    key = s - su * pu - sv * pv
+                    if not both:
+                        key += (rows[sv] or row(sv))[b_of[su]] * pv
+                    new[key] = get(key, 0) + c * k
         else:
-            pair_items = list(Counter(zip(times(t0), times(t1))).items())
+            ta, tb = times(t0), times(t1)
             for s, c in states.items():
                 su, sv = s // pu % r, s // pv % r
                 row_u = rows[su] or row(su)
                 row_v = rows[sv] or row(sv)
                 base = s - su * pu - sv * pv
-                for (a, b), k in pair_items:
+                for a, b in zip(ta, tb):
                     key = base + row_u[a] * pu + row_v[b] * pv
-                    new[key] = get(key, 0) + c * k
+                    new[key] = get(key, 0) + c
         states = new
     return states.get(0, 0)
 
@@ -197,18 +211,14 @@ def count_group_flows(
 ) -> int:
     """Exact number of nowhere-zero flows with values in ``gamma``.
 
-    Counts all (order-1)^m nowhere-zero assignments with the frontier
-    transfer matrix of ``_count_flows``; the budget bounds (order-1)^m.  The
-    count does not depend on the orientation; ``tau`` exists so tests can
-    check exactly that.  Edgeless vertices are dropped first, so the count
-    never holds a list per declared vertex.
+    Counts the assignments of nonzero elements with the frontier transfer
+    matrix of ``_count_flows``, which also bounds its steps by ``budget``.
+    The count does not depend on the orientation; ``tau`` exists so tests
+    can check exactly that.
     """
     if tau is None:
         tau = default_orientation(g)
-    if g.num_edges == 0:
-        return 1
-    _check_budget((gamma.order - 1) ** g.num_edges, budget)
-    return _count_flows(drop_edgeless_vertices(g), tau, gamma, list(range(1, gamma.order)))
+    return _count_flows(g, tau, gamma, (range(1, gamma.order),), budget)
 
 
 def count_integer_nflows(g: SignedGraph, n: int, *, budget: int = DEFAULT_BUDGET) -> int:
@@ -217,22 +227,14 @@ def count_integer_nflows(g: SignedGraph, n: int, *, budget: int = DEFAULT_BUDGET
     Counted as flows in Z_N with values +-1..+-(n-1) mod N, where
     N = (n-1) * (largest half-edge degree) + 1: every vertex sum s has
     |s| <= (n-1) * (half-edge degree) < N, so s = 0 exactly when s = 0 mod N.
-    Edgeless vertices are dropped first, as in :func:`count_group_flows`.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if g.num_edges == 0:
-        return 1
-    _check_budget((2 * n - 2) ** g.num_edges, budget)
-    g = drop_edgeless_vertices(g)
-    half_degree = [0] * g.num_vertices
-    for e in g.edges:
-        half_degree[e.u] += 1
-        half_degree[e.v] += 1
-    order = (n - 1) * max(half_degree) + 1
-    values = [k % order for a in range(1, n) for k in (a, -a)]
-    tau = default_orientation(g)
-    return _count_flows(g, tau, FiniteAbelianGroup((order,)), values)
+    half_degree = Counter(w for e in g.edges for w in (e.u, e.v))
+    order = (n - 1) * max(half_degree.values(), default=0) + 1
+    # -a is order - a for 0 < a < n, as order >= n once there is an edge
+    values = (range(1, n), range(order - n + 1, order))
+    return _count_flows(g, default_orientation(g), FiniteAbelianGroup((order,)), values, budget)
 
 
 def count_double_sum_solutions(

@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from signedflow import SignedGraph, abelian_groups_up_to, cli, parse_graph_text, signatures_equivalent
+from signedflow import (
+    SignedGraph,
+    abelian_groups_up_to,
+    cli,
+    nonzero_sum_count,
+    parse_graph_text,
+    signatures_equivalent,
+)
 from signedflow.graph import graph_to_text
 
 from corpusgen import BARBELL, NEG_LOOP, POS_LOOP, TRIANGLE, g
@@ -72,6 +79,20 @@ class TestCount:
         code, out = run_cli(capsys, "count", "--graph", write_graph(graph), "--group", "2")
         assert code == 0
         assert "nowhere-zero flows: 1" in out
+
+    def test_twelve_hundred_parallel_edges_over_z3_fit_the_default_budget(self, capsys, write_graph):
+        graph = SignedGraph(2, ((0, 1, 1),) * 1200)
+        code, out = run_cli(capsys, "count", "--graph", write_graph(graph), "--group", "3")
+        assert code == 0
+        assert f"nowhere-zero flows: {nonzero_sum_count(1200, 3)}" in out
+
+    def test_negative_budget_is_an_input_error(self, capsys, write_graph):
+        code, out = run_cli(
+            capsys, "count", "--graph", write_graph(TRIANGLE), "--group", "3", "--budget", "-5",
+            "--json",
+        )
+        assert code == 2
+        assert json.loads(out)["message"] == "budget must be nonnegative, got -5"
 
 
 class TestPoly:

@@ -46,6 +46,7 @@ Z4 = FiniteAbelianGroup((4,))
 Z5 = FiniteAbelianGroup((5,))
 K4GROUP = FiniteAbelianGroup((2, 2))
 TRIVIAL = FiniteAbelianGroup(())
+K8 = g(8, *((u, v, 1) for u, v in itertools.combinations(range(8), 2)))
 
 SMALL_GROUPS = abelian_groups_up_to(6)
 
@@ -153,15 +154,13 @@ class TestCountGroupFlows:
             graph.num_vertices,
             [(relabel[graph.edges[i].u], relabel[graph.edges[i].v], graph.edges[i].sign) for i in order],
         )
-        # (order-1)^m reaches 5^10, above the default budget
-        assert count_group_flows(shuffled, gamma, budget=5**10) == count_group_flows(
-            graph, gamma, budget=5**10
-        )
+        assert count_group_flows(shuffled, gamma) == count_group_flows(graph, gamma)
 
     def test_twelve_hundred_parallel_edges(self):
-        # one frame per edge would exceed Python's recursion limit here
+        # one frame per edge would exceed Python's recursion limit here, and the
+        # 2^1200 nowhere-zero assignments fit the default budget: two vertices are open
         graph = SignedGraph(2, ((0, 1, 1),) * 1200)
-        assert count_group_flows(graph, Z3, budget=2**1200) == nonzero_sum_count(1200, 3)
+        assert count_group_flows(graph, Z3) == nonzero_sum_count(1200, 3)
 
 
 class TestOrientationAndSwitchingInvariance:
@@ -327,13 +326,40 @@ class TestEqualInvariantsEqualCounts:
 
 class TestBudget:
     def test_group_budget_guard(self):
-        with pytest.raises(BudgetExceededError) as info:
+        # 4*11 + 10 table entries up front; the first edge adds 10 steps, 2*(11 + 10)
+        # value-table entries and two addition-table rows of 11
+        with pytest.raises(BudgetExceededError, match="up to 128 transfer-matrix steps by edge 1 of 3"):
             count_group_flows(TRIANGLE, FiniteAbelianGroup((11,)), budget=10)
-        assert info.value.estimated_leaves == 1000
 
     def test_integer_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             count_integer_nflows(TRIANGLE, 100, budget=1000)
+
+    def test_negative_budget_is_a_value_error(self):
+        with pytest.raises(ValueError, match="budget"):
+            count_group_flows(TRIANGLE, Z3, budget=-5)
+        with pytest.raises(ValueError, match="budget"):
+            count_integer_nflows(EDGELESS, 2, budget=-1)
+
+    def test_positive_k8_over_z5_fits_the_default_budget(self):
+        assert count_group_flows(K8, Z5) == flow_polynomial(K8, 0)(5)
+
+    def test_refusal_names_the_edge_and_the_open_vertices(self):
+        with pytest.raises(BudgetExceededError, match="by edge 12 of 28 with 6 vertices open"):
+            count_group_flows(K8, FiniteAbelianGroup((16,)))
+
+    def test_table_entries_count_against_the_budget(self):
+        # both edges are forced, but the tables hold an entry per group element
+        path = g(3, (0, 1, 1), (1, 2, 1))
+        with pytest.raises(BudgetExceededError, match="by edge 2 of 2 with 1 vertices open"):
+            count_group_flows(path, FiniteAbelianGroup((10**7,)))
+
+    def test_addition_rows_count_against_the_budget(self):
+        # the second edge closes vertex 0 and may build a row of 1000 entries for
+        # each of up to 999 sums at vertex 1
+        digon_and_loop = g(2, (0, 1, 1), (0, 1, 1), (1, 1, -1))
+        with pytest.raises(BudgetExceededError, match="by edge 2 of 3 with 2 vertices open"):
+            count_group_flows(digon_and_loop, FiniteAbelianGroup((1000,)), budget=10**5)
 
     def test_double_sum_budget_guard(self):
         with pytest.raises(BudgetExceededError):
