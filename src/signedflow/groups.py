@@ -119,7 +119,8 @@ class FiniteAbelianGroup:
         table = [0]
         for m, r in zip(self.moduli, reversed(residues)):
             image = [(r + scale * x) % m for x in range(m)]
-            table = [t * m + y for t in table for y in image]
+            # a table of one entry is [0], and then the image is the whole table
+            table = image if len(table) == 1 else [t * m + y for t in table for y in image]
         return table
 
     def label(self) -> str:

@@ -66,23 +66,23 @@ def _count_flows(
     ``index_table``); an index in two ranges is two values.  A frontier
     transfer-matrix count: edges are taken in :func:`frontier_order`, and a
     vertex is open from its first edge to its last.  A state holds the sums
-    at the open vertices and maps to the number of partial assignments that
-    reach it.  The edge that closes a vertex is forced: the value whose
-    contribution there negates the vertex's sum is looked up, not looped over.
+    at the open vertices, as the base-``order`` digits of one int, and maps
+    to the number of partial assignments that reach it.  The edge that
+    closes a vertex is forced: the value whose contribution there negates
+    the vertex's sum is looked up, not looped over.
 
-    A state is one int whose base-``order`` digits are the sums, one digit
-    slot per open vertex.  A closed vertex's digit is 0 in every surviving
-    state, so its slot passes unchanged to the next vertex opened.  Row s of
-    the addition table is built the first time a sum s is extended.
-
-    Edgeless vertices are dropped first, so nothing is held per declared
-    vertex.  Before any table is built, one pass bounds the steps (a state
-    extended by a value, or a table entry): 4 * order + len(values) for the
-    fixed tables; at each edge, (states before it) * (1 if it closes an end,
-    else len(values)), 2 * (order + len(values)) for value tables and order
-    per addition-table row, one per sum at an end it leaves open.  There are
-    at most min(order^open, previous bound * fanout) states.  Past ``budget``
-    steps, ``BudgetExceededError`` is raised.
+    Edgeless vertices are dropped first.  Before any table is built, one
+    planning pass gives each edge its record: the place values of its ends'
+    digit slots (a closed vertex's digit is 0 in every surviving state, so
+    its slot passes to the next vertex opened), its tau values and how many
+    ends it closes, a closing end first.  The same pass bounds the steps (a
+    state extended by a value, or a table entry): 4 * order + len(values)
+    for the fixed tables; at each edge, (states before it) * (1 if it
+    closes an end, else len(values)), 2 * (order + len(values)) for value
+    tables and order per addition-table row, one per sum at an end it
+    leaves open.  There are at most min(order^open, previous bound * fanout)
+    states.  Past ``budget`` steps, ``BudgetExceededError`` is raised.  The
+    count then only reads the records.
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
@@ -95,24 +95,33 @@ def _count_flows(
     for pos, i in enumerate(order):
         e = g.edges[i]
         last[e.u] = last[e.v] = pos
-    seen = [False] * g.num_vertices
-    num_open = 0
-    steps = 4 * r + num_values
-    bound = 1
+    plan: list[tuple[int, int, int, int, int]] = []
+    slot = [-1] * g.num_vertices
+    free: list[int] = []
+    num_open, steps, bound = 0, 4 * r + num_values, 1
     for pos, i in enumerate(order):
-        u, v, _ = g.edges[i]
-        fanout = 1 if pos in (last[u], last[v]) else num_values
-        left_open = len({w for w in (u, v) if last[w] != pos})
-        steps += bound * fanout + 2 * (r + num_values) + min(bound * left_open, r) * r
+        (u, v, _), (t0, t1) = g.edges[i], tau.taus[i]
+        ends = (u,) if u == v else (u, v)
+        closes = sum(last[w] == pos for w in ends)
+        fanout = 1 if closes else num_values
+        steps += bound * fanout + 2 * (r + num_values) + min(bound * (len(ends) - closes), r) * r
         if steps > budget:
             raise BudgetExceededError(
                 f"up to {steps} transfer-matrix steps by edge {pos + 1} of {len(order)} "
                 f"with {num_open} vertices open exceed budget {budget}"
             )
-        for w in {u, v}:
-            num_open += (not seen[w]) - (last[w] == pos)
-            seen[w] = True
+        for w in ends:
+            if slot[w] < 0:
+                slot[w] = free.pop() if free else num_open
+                num_open += 1
+        for w in ends:
+            if last[w] == pos:
+                free.append(slot[w])
+                num_open -= 1
         bound = min(bound * fanout, r**num_open)
+        if last[u] != pos:  # v closes, or neither end does
+            u, v, t0, t1 = v, u, t1, t0
+        plan.append((r ** slot[u], r ** slot[v], t0, t1, closes))
 
     scaled: dict[int, list[int]] = {}
 
@@ -135,28 +144,14 @@ def _count_flows(
         rows[s] = [ids[x] for x in gamma.index_table(s, 1)]
         return rows[s]
 
-    slot = [-1] * g.num_vertices
-    free: list[int] = []
-    width = 0
     states = {0: 1}
-    for pos, i in enumerate(order):
-        (u, v, _), (t0, t1) = g.edges[i], tau.taus[i]
-        for w in (u, v):
-            if slot[w] < 0:
-                slot[w] = free.pop() if free else width
-                width = max(width, slot[w] + 1)
-        pu, pv = r ** slot[u], r ** slot[v]
-        closes_u, closes_v = last[u] == pos, last[v] == pos
-        if closes_u:
-            free.append(slot[u])
-        if closes_v and v != u:
-            free.append(slot[v])
+    for pu, pv, t0, t1, closes in plan:
         new: dict[int, int] = {}
         get = new.get
-        if u == v:
+        if pu == pv:
             # a loop adds tau0*x + tau1*x at its one vertex
             adds = Counter(times(t0 + t1))
-            if closes_u:
+            if closes:
                 for s, c in states.items():
                     su = s // pu % r
                     k = adds.get(neg[su])
@@ -171,21 +166,18 @@ def _count_flows(
                     for a, k in adds.items():
                         key = base + row_u[a] * pu
                         new[key] = get(key, 0) + c * k
-        elif closes_u or closes_v:
-            both = closes_u and closes_v
-            if not closes_u:  # swap the ends so that u closes
-                pu, pv, t0, t1 = pv, pu, t1, t0
-            # the forced value x has tau0*x = -su; it is mult[x_of[su]] values,
-            # and adds tau1*x = b_of[su] at v
+        elif closes:
+            # u closes: the forced value x has tau0*x = -su; it is
+            # mult[x_of[su]] values, and adds tau1*x = b_of[su] at v
             x_of = neg if t0 == 1 else ids
             b_of = neg if t0 == t1 else ids
             for s, c in states.items():
                 su, sv = s // pu % r, s // pv % r
                 k = mult[x_of[su]]
                 # when v closes too, tau1*x must negate its sum
-                if k and (not both or neg[b_of[su]] == sv):
+                if k and (closes == 1 or neg[b_of[su]] == sv):
                     key = s - su * pu - sv * pv
-                    if not both:
+                    if closes == 1:
                         key += (rows[sv] or row(sv))[b_of[su]] * pv
                     new[key] = get(key, 0) + c * k
         else:
@@ -214,10 +206,12 @@ def count_group_flows(
     Counts the assignments of nonzero elements with the frontier transfer
     matrix of ``_count_flows``, which also bounds its steps by ``budget``.
     The count does not depend on the orientation; ``tau`` exists so tests
-    can check exactly that.
+    can check exactly that; one that does not fit ``g`` is a ``ValueError``.
     """
     if tau is None:
         tau = default_orientation(g)
+    elif not tau.satisfies(g):
+        raise ValueError("orientation does not fit the graph's edges and signs")
     return _count_flows(g, tau, gamma, (range(1, gamma.order),), budget)
 
 

@@ -26,6 +26,7 @@ from signedflow.oracle import BudgetExceededError, count_double_sum_solutions
 from corpusgen import (
     BARBELL,
     DIGON_PM,
+    DIGON_PP,
     EDGELESS,
     NEG_LOOP,
     POS_EDGE,
@@ -155,6 +156,16 @@ class TestCountGroupFlows:
             [(relabel[graph.edges[i].u], relabel[graph.edges[i].v], graph.edges[i].sign) for i in order],
         )
         assert count_group_flows(shuffled, gamma) == count_group_flows(graph, gamma)
+
+    def test_orientation_against_an_edge_sign_is_refused(self):
+        # tau0 * tau1 = 1 would make the positive loop a negative one (1 flow, not 3)
+        with pytest.raises(ValueError, match="orientation"):
+            count_group_flows(POS_LOOP, Z4, tau=Orientation(((1, 1),)))
+
+    def test_orientation_shorter_than_the_edge_list_is_refused(self):
+        tau = default_orientation(POS_EDGE)
+        with pytest.raises(ValueError, match="orientation"):
+            count_group_flows(DIGON_PP, Z4, tau=tau)
 
     def test_twelve_hundred_parallel_edges(self):
         # one frame per edge would exceed Python's recursion limit here, and the
@@ -367,6 +378,79 @@ class TestBudget:
 
     def test_counts_are_python_ints(self):
         assert isinstance(count_group_flows(TRIANGLE, Z5), int)
+
+
+K4_TWO_NEG = g(4, (0, 1, -1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, -1), (2, 3, 1))
+# each edge's first end is its later one, so an edge that closes one end closes v
+TRIANGLE_REVERSED = g(3, (1, 0, 1), (2, 0, -1), (2, 1, 1))
+
+
+class TestPinnedOutcomes:
+    """Counts and refusal messages as the oracle gives them; moduli count
+    group flows, an int n counts integer n-flows.  The kinds of edge in
+    frontier order are named after the graph: L loop, . closes no end,
+    1 closes one end, 2 closes both (a loop's one end is 1)."""
+
+    @pytest.mark.parametrize(
+        "graph, over, budget, expected",
+        [
+            pytest.param(POS_LOOP, (5,), None, 4, id="pos-loop-L1"),
+            pytest.param(TWO_NEG_LOOPS, (4, 2), None, 25, id="two-neg-loops-L.-L1"),
+            pytest.param(BARBELL, (4,), None, 4, id="barbell-L.-L.-2"),
+            pytest.param(THETA_PPM, (6,), None, 4, id="theta-.-.-2"),
+            pytest.param(TRIANGLE, (11,), 342, 10, id="triangle-.-1-2-at-its-bound"),
+            pytest.param(TRIANGLE_REVERSED, (6,), 152, 1, id="reversed-triangle-at-its-bound"),
+            pytest.param(K4_TWO_NEG, (3, 3), None, 0, id="signed-k4"),
+            pytest.param(BARBELL, 5, None, 4, id="integer-barbell"),
+            pytest.param(K4_TWO_NEG, 4, 1448, 0, id="integer-signed-k4-at-its-bound"),
+            pytest.param(
+                TRIANGLE, (11,), 10,
+                "up to 128 transfer-matrix steps by edge 1 of 3 with 0 vertices open exceed budget 10",
+                id="refused-at-the-first-edge",
+            ),
+            pytest.param(
+                TRIANGLE, (11,), 150,
+                "up to 290 transfer-matrix steps by edge 2 of 3 with 2 vertices open exceed budget 150",
+                id="refused-at-a-middle-edge",
+            ),
+            pytest.param(
+                TRIANGLE, (11,), 341,
+                "up to 342 transfer-matrix steps by edge 3 of 3 with 2 vertices open exceed budget 341",
+                id="refused-at-the-last-edge",
+            ),
+            pytest.param(
+                BARBELL, (4,), 60,
+                "up to 75 transfer-matrix steps by edge 2 of 3 with 1 vertices open exceed budget 60",
+                id="refused-after-a-loop",
+            ),
+            pytest.param(
+                K4_TWO_NEG, 4, 1000,
+                "up to 1316 transfer-matrix steps by edge 5 of 6 with 3 vertices open exceed budget 1000",
+                id="integer-refused-at-a-middle-edge",
+            ),
+            pytest.param(
+                K4_TWO_NEG, 4, 1447,
+                "up to 1448 transfer-matrix steps by edge 6 of 6 with 2 vertices open exceed budget 1447",
+                id="integer-refused-at-the-last-edge",
+            ),
+            pytest.param(
+                g(3, (0, 1, 1), (1, 2, 1)), (10**7,), None,
+                "up to 139999997 transfer-matrix steps by edge 2 of 2 with 1 vertices open "
+                "exceed budget 100000000",
+                id="path-over-a-large-group",
+            ),
+        ],
+    )
+    def test_count_or_refusal(self, graph, over, budget, expected):
+        kwargs = {} if budget is None else {"budget": budget}
+        try:
+            if isinstance(over, int):
+                outcome = count_integer_nflows(graph, over, **kwargs)
+            else:
+                outcome = count_group_flows(graph, FiniteAbelianGroup(over), **kwargs)
+        except BudgetExceededError as exc:
+            outcome = str(exc)
+        assert outcome == expected
 
 
 class TestOrientationIndependenceOfZoo:
