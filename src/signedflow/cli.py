@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import engine, oracle
 from .graph import SignedGraph, graph_to_text, parse_graph_text, signatures_equivalent, switch
@@ -51,6 +50,8 @@ def _parse_vertex_list(text: str) -> set[int]:
 def _coeff_json(c) -> int | str:
     if isinstance(c, int):
         return c
+    from fractions import Fraction  # only a fit has rational coefficients
+
     if isinstance(c, Fraction):
         return f"{c.numerator}/{c.denominator}"
     raise TypeError(f"unexpected coefficient type {type(c)!r}")

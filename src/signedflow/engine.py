@@ -14,7 +14,6 @@ edge list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
@@ -207,12 +206,21 @@ def _flow_poly_connected(g: SignedGraph, cache: dict[CacheKey, _Bivariate]) -> _
     return _negative_loops(len(g.edges))
 
 
-@dataclass
 class FlowPolynomialFamily:
     """Polynomials f_d for d = 0..d_max, tied to the graph they were computed from."""
 
-    entries: dict[int, Poly]
-    graph_fingerprint: str
+    def __init__(self, entries: dict[int, Poly], graph_fingerprint: str) -> None:
+        self.entries = entries
+        self.graph_fingerprint = graph_fingerprint
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.entries, self.graph_fingerprint) == (other.entries, other.graph_fingerprint)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"FlowPolynomialFamily(entries={self.entries!r}, "
+                f"graph_fingerprint={self.graph_fingerprint!r})")
 
 
 def flow_polynomial_family(
@@ -227,7 +235,6 @@ def flow_polynomial_family(
     return FlowPolynomialFamily(entries=entries, graph_fingerprint=graph_fingerprint(g))
 
 
-@dataclass
 class QuasiPolynomialFit:
     """Per-parity interpolation of integer-flow counts.
 
@@ -235,10 +242,24 @@ class QuasiPolynomialFit:
     reproduced exactly; coefficients may be rational.
     """
 
-    p_even: Poly
-    p_odd: Poly
-    validated: bool
-    sample_range: tuple[int, int]
+    def __init__(self, p_even: Poly, p_odd: Poly, validated: bool,
+                 sample_range: tuple[int, int]) -> None:
+        self.p_even = p_even
+        self.p_odd = p_odd
+        self.validated = validated
+        self.sample_range = sample_range
+
+    def _fields(self) -> tuple:
+        return (self.p_even, self.p_odd, self.validated, self.sample_range)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"QuasiPolynomialFit(p_even={self.p_even!r}, p_odd={self.p_odd!r}, "
+                f"validated={self.validated!r}, sample_range={self.sample_range!r})")
 
     def polynomial_for(self, n: int) -> Poly:
         return self.p_even if n % 2 == 0 else self.p_odd

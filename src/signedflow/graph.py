@@ -8,8 +8,7 @@ are not checked again, and a rewrite that changes nothing may return its input.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+import operator
 from typing import Iterable, NamedTuple
 
 
@@ -24,35 +23,65 @@ class Edge(NamedTuple):
         return self.u == self.v
 
 
-@dataclass(frozen=True)
+def _as_int(value, what: str) -> int:
+    """``operator.index(value)``; a float or any other non-integer is a
+    ``ValueError``, so no float enters a count."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 class SignedGraph:
     """Multigraph with a sign in {+1, -1} on every edge.
 
     Loops and parallel edges are allowed, as are edgeless and vertexless
     graphs.  Edge ids are positions in ``edges`` and stay dense (0..m-1)
-    under deletion and contraction.
+    under deletion and contraction.  Instances are immutable and compare
+    and hash by ``(num_vertices, edges)``.
     """
 
-    num_vertices: int
-    edges: tuple[Edge, ...] = ()
+    __slots__ = ("num_vertices", "edges")
 
-    def __post_init__(self) -> None:
-        if self.num_vertices < 0:
-            raise ValueError(f"num_vertices must be nonnegative, got {self.num_vertices}")
-        object.__setattr__(self, "edges", tuple(Edge(*e) for e in self.edges))
-        for i, e in enumerate(self.edges):
-            if not (0 <= e.u < self.num_vertices and 0 <= e.v < self.num_vertices):
-                raise ValueError(
-                    f"edge {i} has endpoint outside 0..{self.num_vertices - 1}: {e}"
-                )
-            if e.sign not in (1, -1):
-                raise ValueError(f"edge {i} has sign {e.sign!r}, expected +1 or -1")
+    def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int, int]] = ()) -> None:
+        n = _as_int(num_vertices, "num_vertices")
+        if n < 0:
+            raise ValueError(f"num_vertices must be nonnegative, got {n}")
+        checked = []
+        for i, e in enumerate(edges):
+            u, v, sign = e
+            edge = Edge(_as_int(u, f"edge {i} endpoint"), _as_int(v, f"edge {i} endpoint"),
+                        _as_int(sign, f"edge {i} sign"))
+            if not (0 <= edge.u < n and 0 <= edge.v < n):
+                raise ValueError(f"edge {i} has endpoint outside 0..{n - 1}: {edge}")
+            if edge.sign not in (1, -1):
+                raise ValueError(f"edge {i} has sign {edge.sign!r}, expected +1 or -1")
+            checked.append(edge)
+        object.__setattr__(self, "num_vertices", n)
+        object.__setattr__(self, "edges", tuple(checked))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SignedGraph is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.num_vertices, self.edges) == (other.num_vertices, other.edges)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num_vertices, self.edges))
+
+    def __repr__(self) -> str:
+        return f"SignedGraph(num_vertices={self.num_vertices!r}, edges={self.edges!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.num_vertices, self.edges)
 
     @classmethod
     def from_edges(
         cls, num_vertices: int, triples: Iterable[tuple[int, int, int]]
     ) -> SignedGraph:
-        return cls(num_vertices, tuple(Edge(u, v, s) for u, v, s in triples))
+        return cls(num_vertices, triples)
 
     @property
     def num_edges(self) -> int:
@@ -62,21 +91,41 @@ class SignedGraph:
         return frozenset(i for i, e in enumerate(self.edges) if e.sign == -1)
 
 
-@dataclass(frozen=True)
 class Orientation:
     """Direction of every half-edge: ``taus[e]`` holds tau at slot 0 and slot 1.
 
     An orientation of a graph is valid when tau(e,0) * tau(e,1) == -sign(e)
     for every edge; +1 means the half-edge points toward its endpoint.
+    Instances are immutable and compare and hash by ``taus``.
     """
 
-    taus: tuple[tuple[int, int], ...]
+    __slots__ = ("taus",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "taus", tuple(tuple(t) for t in self.taus))
-        for i, (t0, t1) in enumerate(self.taus):
+    def __init__(self, taus: Iterable[tuple[int, int]]) -> None:
+        checked = []
+        for i, t in enumerate(taus):
+            t0, t1 = (_as_int(x, f"edge {i}: tau") for x in t)
             if t0 not in (1, -1) or t1 not in (1, -1):
                 raise ValueError(f"edge {i}: tau values must be +1 or -1, got {(t0, t1)}")
+            checked.append((t0, t1))
+        object.__setattr__(self, "taus", tuple(checked))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Orientation is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.taus == other.taus
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.taus,))
+
+    def __repr__(self) -> str:
+        return f"Orientation(taus={self.taus!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.taus,)
 
     def satisfies(self, g: SignedGraph) -> bool:
         return len(self.taus) == g.num_edges and all(
@@ -108,7 +157,8 @@ def _derived(num_vertices: int, edges: tuple[Edge, ...]) -> SignedGraph:
     ``SignedGraph`` passed them or was derived from one that did, and every
     rewrite keeps endpoints in range, signs in {+1, -1} and edges ``Edge``."""
     out = object.__new__(SignedGraph)
-    out.__dict__.update(num_vertices=num_vertices, edges=edges)
+    object.__setattr__(out, "num_vertices", num_vertices)
+    object.__setattr__(out, "edges", edges)
     return out
 
 
@@ -381,4 +431,6 @@ def graph_to_text(g: SignedGraph) -> str:
 
 def graph_fingerprint(g: SignedGraph) -> str:
     """Stable digest of the graph's canonical text form."""
+    import hashlib  # here, not at the top: only poly and verify need it
+
     return hashlib.sha256(graph_to_text(g).encode("ascii")).hexdigest()

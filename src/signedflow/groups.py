@@ -7,20 +7,30 @@ and immutable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
 from math import prod
-from typing import Iterator
+from typing import Iterable, Iterator
 
 GroupElement = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+def _modulus(m) -> int:
+    try:
+        m = operator.index(m)  # a float such as 4.7 is refused, not truncated
+    except TypeError:
+        raise ValueError(f"modulus {m!r} is not an integer") from None
+    if m < 1:
+        raise ValueError(f"modulus {m} is not a positive integer")
+    return m
+
+
 class FiniteAbelianGroup:
     """Direct product Z_m1 x ... x Z_mk described by its moduli.
 
     Moduli equal to 1 are tolerated (they contribute nothing), and no
     normalization to invariant factors is performed, so ``(6,)`` and
-    ``(2, 3)`` are distinct descriptions of isomorphic groups.
+    ``(2, 3)`` are distinct descriptions of isomorphic groups.  Instances
+    are immutable and compare and hash by ``moduli``.
 
     >>> FiniteAbelianGroup((4, 2)).order
     8
@@ -30,13 +40,27 @@ class FiniteAbelianGroup:
     0
     """
 
-    moduli: tuple[int, ...]
+    __slots__ = ("moduli",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "moduli", tuple(int(m) for m in self.moduli))
-        for m in self.moduli:
-            if m < 1:
-                raise ValueError(f"modulus {m} is not a positive integer")
+    def __init__(self, moduli: Iterable[int]) -> None:
+        object.__setattr__(self, "moduli", tuple(map(_modulus, moduli)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FiniteAbelianGroup is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.moduli == other.moduli
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.moduli,))
+
+    def __repr__(self) -> str:
+        return f"FiniteAbelianGroup(moduli={self.moduli!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.moduli,)
 
     @property
     def order(self) -> int:

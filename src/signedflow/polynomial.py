@@ -6,17 +6,23 @@ outright so no count can ever pass through floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
-Coeff = Union[int, Fraction]
+# fractions (and the decimal module it loads) is imported only where a
+# rational value can occur, so an all-integer run never loads it
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Coeff = Union[int, "Fraction"]
 
 
 def _as_exact(c) -> Coeff:
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
     if isinstance(c, int):
         return c
+    from fractions import Fraction
+
+    if isinstance(c, Fraction):
+        return int(c) if c.denominator == 1 else c
     raise TypeError(f"coefficient {c!r} is not an exact integer or Fraction")
 
 
@@ -141,6 +147,8 @@ def interpolate(points: Iterable[tuple[Coeff, Coeff]]) -> Poly:
     Trailing zero coefficients are normalized away, so data sampled from a
     low-degree polynomial comes back at its true degree.
     """
+    from fractions import Fraction
+
     pts = [(Fraction(x), Fraction(y)) for x, y in points]
     if not pts:
         return Poly()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from signedflow import (
     Edge,
+    Orientation,
     SignedGraph,
     connected_components,
     contract_edge,
@@ -66,6 +67,35 @@ class TestConstruction:
     def test_empty_graphs_are_valid(self):
         assert SignedGraph(0).num_edges == 0
         assert SignedGraph(3).num_vertices == 3
+
+    def test_rejects_float_vertex_count(self):
+        with pytest.raises(ValueError, match="num_vertices must be an integer"):
+            SignedGraph(2.5, ((0, 1, 1),))
+
+    def test_rejects_float_endpoint(self):
+        with pytest.raises(ValueError, match="edge 0 endpoint must be an integer"):
+            SignedGraph(2, ((0.0, 1, 1),))
+
+    def test_rejects_float_sign(self):
+        with pytest.raises(ValueError, match="edge 1 sign must be an integer"):
+            SignedGraph.from_edges(2, [(0, 1, 1), (0, 1, -1.0)])
+
+    def test_rejects_float_tau(self):
+        with pytest.raises(ValueError, match="tau must be an integer"):
+            Orientation(((1.0, -1),))
+
+    def test_integer_types_become_ints(self):
+        class Index:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        graph = SignedGraph(Index(2), [(Index(0), Index(1), Index(-1))])
+        assert graph == SignedGraph(2, [(0, 1, -1)])
+        assert all(type(x) is int for x in (graph.num_vertices, *graph.edges[0]))
+        assert Orientation([(Index(1), Index(1))]).taus == ((1, 1),)
 
 
 class TestDefaultOrientation:

@@ -18,6 +18,13 @@ def test_doctests():
     assert failures == 0
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("bad", [4.7, 4.0, "4"])
+    def test_rejects_non_integer_modulus(self, bad):
+        with pytest.raises(ValueError, match="is not an integer"):
+            FiniteAbelianGroup((bad,))
+
+
 class TestArithmetic:
     def test_componentwise_addition(self):
         g = FiniteAbelianGroup((4, 2))

@@ -1,0 +1,61 @@
+"""What a CLI process imports: every command pays for the modules that
+``import signedflow.cli`` loads, so heavy ones are loaded only by the
+commands that use them.
+
+The checks compare ``sys.modules`` before and after each step in a fresh
+interpreter, because what ``site`` loads at start-up differs between
+machines.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import signedflow
+
+SRC = Path(signedflow.__file__).resolve().parent.parent
+
+# dataclasses pulls in inspect, ast, dis and tokenize; fractions pulls in decimal
+HEAVY = {"dataclasses", "inspect", "hashlib", "fractions", "decimal"}
+
+CHILD = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+added = {}
+import signedflow.cli as cli
+added["import"] = sorted(set(sys.modules) - before)
+for step, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, step
+    added[step] = sorted(set(sys.modules) - before)
+print(json.dumps(added))
+"""
+
+
+def _added_modules(tmp_path):
+    graph = tmp_path / "digon.txt"
+    graph.write_text("vertices 2\nedge 0 1 +\nedge 0 1 +\n")
+    g = ["--graph", str(graph), "--json"]
+    steps = [
+        ("count", ["count", *g, "--group", "3"]),
+        ("intflow", ["intflow", *g, "--n-max", "6"]),
+        ("fit", ["intflow", *g, "--n-max", "6", "--fit"]),
+        ("poly", ["poly", *g]),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(steps)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return {step: set(mods) for step, mods in json.loads(out).items()}
+
+
+def test_heavy_modules_load_only_where_used(tmp_path):
+    added = _added_modules(tmp_path)
+    assert "signedflow.cli" in added["import"]
+    assert not added["import"] & HEAVY
+    assert not added["count"] & HEAVY
+    assert not added["intflow"] & HEAVY
+    assert "fractions" in added["fit"] - added["intflow"]
+    assert "hashlib" not in added["fit"]
+    assert "hashlib" in added["poly"] - added["fit"]
