@@ -19,6 +19,7 @@ from typing import Iterable
 
 from .graph import (
     SignedGraph,
+    _as_int,
     _derived,
     connected_components,
     contract_edge,
@@ -27,7 +28,8 @@ from .graph import (
     graph_fingerprint,
     make_edge_positive,
 )
-from .polynomial import Poly, interpolate
+from .polynomial import Poly, _as_exact, interpolate
+from .values import Record
 
 CacheKey = tuple[int, tuple[tuple[int, int, int], ...]]
 
@@ -95,6 +97,7 @@ def nonzero_sum_count(s: int, order: int | None = None) -> Poly | int:
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
     if order is not None:
+        order = _as_int(order, "order")
         if s == 0:
             return 1
         return sum((-1) ** (i - 1) * (order - 1) ** (s - i) for i in range(1, s))
@@ -206,21 +209,14 @@ def _flow_poly_connected(g: SignedGraph, cache: dict[CacheKey, _Bivariate]) -> _
     return _negative_loops(len(g.edges))
 
 
-class FlowPolynomialFamily:
+class FlowPolynomialFamily(Record):
     """Polynomials f_d for d = 0..d_max, tied to the graph they were computed from."""
+
+    __slots__ = ("entries", "graph_fingerprint")
 
     def __init__(self, entries: dict[int, Poly], graph_fingerprint: str) -> None:
         self.entries = entries
         self.graph_fingerprint = graph_fingerprint
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.entries, self.graph_fingerprint) == (other.entries, other.graph_fingerprint)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"FlowPolynomialFamily(entries={self.entries!r}, "
-                f"graph_fingerprint={self.graph_fingerprint!r})")
 
 
 def flow_polynomial_family(
@@ -235,12 +231,14 @@ def flow_polynomial_family(
     return FlowPolynomialFamily(entries=entries, graph_fingerprint=graph_fingerprint(g))
 
 
-class QuasiPolynomialFit:
+class QuasiPolynomialFit(Record):
     """Per-parity interpolation of integer-flow counts.
 
     ``validated`` means the held-out largest sample of each parity class is
     reproduced exactly; coefficients may be rational.
     """
+
+    __slots__ = ("p_even", "p_odd", "validated", "sample_range")
 
     def __init__(self, p_even: Poly, p_odd: Poly, validated: bool,
                  sample_range: tuple[int, int]) -> None:
@@ -248,18 +246,6 @@ class QuasiPolynomialFit:
         self.p_odd = p_odd
         self.validated = validated
         self.sample_range = sample_range
-
-    def _fields(self) -> tuple:
-        return (self.p_even, self.p_odd, self.validated, self.sample_range)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"QuasiPolynomialFit(p_even={self.p_even!r}, p_odd={self.p_odd!r}, "
-                f"validated={self.validated!r}, sample_range={self.sample_range!r})")
 
     def polynomial_for(self, n: int) -> Poly:
         return self.p_even if n % 2 == 0 else self.p_odd
@@ -273,7 +259,7 @@ def fit_quasipolynomial(samples: Iterable[tuple[int, int]]) -> QuasiPolynomialFi
     is validated when the held-out counts are reproduced exactly.  All
     arithmetic is rational, never floating point.
     """
-    pts = sorted((int(n), c) for n, c in samples)
+    pts = sorted((_as_int(n, "sample n"), _as_exact(c)) for n, c in samples)
     if not pts or [n for n, _ in pts] != list(range(1, len(pts) + 1)):
         raise ValueError("samples must cover consecutive n = 1..n_max exactly once")
     n_max = pts[-1][0]

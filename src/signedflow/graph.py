@@ -1,15 +1,19 @@
 """Signed multigraphs: half-edge orientations, switching, and minor rewrites.
 
-All values are immutable, so sharing across threads is safe.  A graph is
-checked once, where it enters (``SignedGraph``, ``from_edges``,
-``parse_graph_text``); rewrites preserve validity, so the graphs they derive
-are not checked again, and a rewrite that changes nothing may return its input.
+Graphs and orientations are immutable values (``values.Value``: compared,
+hashed, copied and pickled by their fields), so sharing across threads is
+safe.  A graph is checked once, where it enters (``SignedGraph``,
+``from_edges``, ``parse_graph_text``); rewrites preserve validity, so the
+graphs they derive are not checked again, and a rewrite that changes nothing
+may return its input.
 """
 
 from __future__ import annotations
 
 import operator
 from typing import Iterable, NamedTuple
+
+from .values import Value
 
 
 class Edge(NamedTuple):
@@ -32,7 +36,7 @@ def _as_int(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
-class SignedGraph:
+class SignedGraph(Value):
     """Multigraph with a sign in {+1, -1} on every edge.
 
     Loops and parallel edges are allowed, as are edgeless and vertexless
@@ -60,23 +64,6 @@ class SignedGraph:
         object.__setattr__(self, "num_vertices", n)
         object.__setattr__(self, "edges", tuple(checked))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedGraph is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.num_vertices, self.edges) == (other.num_vertices, other.edges)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num_vertices, self.edges))
-
-    def __repr__(self) -> str:
-        return f"SignedGraph(num_vertices={self.num_vertices!r}, edges={self.edges!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.num_vertices, self.edges)
-
     @classmethod
     def from_edges(
         cls, num_vertices: int, triples: Iterable[tuple[int, int, int]]
@@ -91,7 +78,7 @@ class SignedGraph:
         return frozenset(i for i, e in enumerate(self.edges) if e.sign == -1)
 
 
-class Orientation:
+class Orientation(Value):
     """Direction of every half-edge: ``taus[e]`` holds tau at slot 0 and slot 1.
 
     An orientation of a graph is valid when tau(e,0) * tau(e,1) == -sign(e)
@@ -109,23 +96,6 @@ class Orientation:
                 raise ValueError(f"edge {i}: tau values must be +1 or -1, got {(t0, t1)}")
             checked.append((t0, t1))
         object.__setattr__(self, "taus", tuple(checked))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Orientation is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.taus == other.taus
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.taus,))
-
-    def __repr__(self) -> str:
-        return f"Orientation(taus={self.taus!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.taus,)
 
     def satisfies(self, g: SignedGraph) -> bool:
         return len(self.taus) == g.num_edges and all(

@@ -11,6 +11,8 @@ import operator
 from math import prod
 from typing import Iterable, Iterator
 
+from .values import Value
+
 GroupElement = tuple[int, ...]
 
 
@@ -24,7 +26,7 @@ def _modulus(m) -> int:
     return m
 
 
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Value):
     """Direct product Z_m1 x ... x Z_mk described by its moduli.
 
     Moduli equal to 1 are tolerated (they contribute nothing), and no
@@ -44,23 +46,6 @@ class FiniteAbelianGroup:
 
     def __init__(self, moduli: Iterable[int]) -> None:
         object.__setattr__(self, "moduli", tuple(map(_modulus, moduli)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteAbelianGroup is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.moduli == other.moduli
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.moduli,))
-
-    def __repr__(self) -> str:
-        return f"FiniteAbelianGroup(moduli={self.moduli!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.moduli,)
 
     @property
     def order(self) -> int:

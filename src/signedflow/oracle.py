@@ -41,12 +41,13 @@ def verify_flow(
 
     At each vertex the tau-weighted values of all incident half-edges must
     sum to zero; a loop contributes both of its half-edges.  The nowhere-zero
-    condition is not checked here.
+    condition is not checked here; an orientation that does not fit ``g`` is
+    a ``ValueError``.
     """
     if set(phi) != set(range(g.num_edges)):
         raise ValueError("flow assignment must cover every edge id exactly")
-    if len(tau.taus) != g.num_edges:
-        raise ValueError("orientation does not match the graph's edge count")
+    if not tau.satisfies(g):
+        raise ValueError("orientation does not fit the graph's edges and signs")
     sums = [gamma.zero()] * g.num_vertices
     for i, e in enumerate(g.edges):
         value = phi[i]

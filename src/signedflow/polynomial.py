@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Union
 
+from .values import Value
+
 # fractions (and the decimal module it loads) is imported only where a
 # rational value can occur, so an all-integer run never loads it
 if TYPE_CHECKING:
@@ -26,7 +28,7 @@ def _as_exact(c) -> Coeff:
     raise TypeError(f"coefficient {c!r} is not an exact integer or Fraction")
 
 
-class Poly:
+class Poly(Value):
     """Polynomial in one variable ``n`` with exact coefficients.
 
     ``coeffs[i]`` is the coefficient of ``n**i``; trailing zeros are
@@ -42,9 +44,6 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
@@ -55,14 +54,6 @@ class Poly:
 
     def is_integral(self) -> bool:
         return all(isinstance(c, int) for c in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __add__(self, other: Poly) -> Poly:
         a, b = self.coeffs, other.coeffs
@@ -149,7 +140,7 @@ def interpolate(points: Iterable[tuple[Coeff, Coeff]]) -> Poly:
     """
     from fractions import Fraction
 
-    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    pts = [(Fraction(_as_exact(x)), Fraction(_as_exact(y))) for x, y in points]
     if not pts:
         return Poly()
     xs = [x for x, _ in pts]

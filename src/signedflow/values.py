@@ -1,0 +1,48 @@
+"""Equality, hashing, repr, immutability and pickling, defined once.
+
+A class lists its fields in ``__slots__`` in the order its constructor
+takes them; that is the one invariant the methods below rely on, since
+they read the slots in that order and ``cls(*values)`` rebuilds the object.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    """Equal to a record of the same class with equal fields; shown as
+    ``Name(field=value, ...)``; copied and pickled through its constructor.
+    Mutable, and so unhashable: defining ``__eq__`` drops the inherited hash."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Value(Record):
+    """An immutable ``Record``, hashed by its fields.  The constructor sets
+    the slots with ``object.__setattr__``; afterwards assigning or deleting
+    an attribute is an ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")

@@ -100,6 +100,11 @@ class TestNonzeroSumCount:
         with pytest.raises(ValueError):
             nonzero_sum_count(-1)
 
+    @pytest.mark.parametrize("order", [5.5, 5.0, "5"])
+    def test_non_integer_order_is_refused(self, order):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            nonzero_sum_count(3, order)
+
 
 class TestDoubleSumSolutions:
     def test_no_variables(self):
@@ -378,3 +383,13 @@ class TestFitQuasipolynomial:
     def test_too_few_samples_raise(self):
         with pytest.raises(ValueError):
             fit_quasipolynomial([(n, 0) for n in range(1, 6)])
+
+    def test_float_n_is_refused(self):
+        with pytest.raises(ValueError, match="sample n must be an integer"):
+            fit_quasipolynomial([(float(n), n - 1) for n in range(1, 9)])
+
+    @pytest.mark.parametrize("where", [1, 8])  # interpolated, held out
+    def test_float_count_is_refused(self, where):
+        samples = [(n, float(n - 1) if n == where else n - 1) for n in range(1, 9)]
+        with pytest.raises(TypeError):
+            fit_quasipolynomial(samples)

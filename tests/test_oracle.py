@@ -88,6 +88,11 @@ class TestVerifyFlow:
         with pytest.raises(ValueError):
             verify_flow(TRIANGLE, default_orientation(TRIANGLE), Z4, {0: (1,)})
 
+    def test_orientation_against_an_edge_sign_is_refused(self):
+        # both tau values +1 fit a negative edge, not the positive ones here
+        with pytest.raises(ValueError, match="does not fit the graph's edges and signs"):
+            verify_flow(DIGON_PP, Orientation(((1, 1), (1, 1))), Z3, {0: (1,), 1: (2,)})
+
 
 class TestCountGroupFlows:
     def test_negative_loop_counts_involutions(self):

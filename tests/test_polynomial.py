@@ -111,6 +111,11 @@ class TestInterpolation:
     def test_empty_input_is_zero(self):
         assert interpolate([]).is_zero()
 
+    @pytest.mark.parametrize("points", [[(1, 1.5), (2, 2)], [(1.0, 1), (2, 2)]])
+    def test_float_points_are_refused(self, points):
+        with pytest.raises(TypeError):
+            interpolate(points)
+
     @given(coeff_lists)
     @settings(max_examples=40)
     def test_round_trip(self, coeffs):

@@ -3,6 +3,7 @@ keyword construction, immutability, copying and pickling."""
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -65,6 +66,13 @@ class TestSignedGraph:
         for clone in (copy.copy(DIGON), copy.deepcopy(DIGON), pickle.loads(pickle.dumps(DIGON))):
             assert clone == DIGON and repr(clone) == repr(DIGON)
 
+    @pytest.mark.parametrize("name", ["num_vertices", "edges"])
+    def test_del_refused(self, name):
+        graph = SignedGraph(2, DIGON.edges)
+        with pytest.raises(AttributeError):
+            delattr(graph, name)
+        assert graph == DIGON and hash(graph) == hash(DIGON)
+
 
 class TestOrientation:
     def test_repr(self):
@@ -89,6 +97,12 @@ class TestOrientation:
         o = Orientation(((-1, 1), (1, 1)))
         for clone in (copy.copy(o), copy.deepcopy(o), pickle.loads(pickle.dumps(o))):
             assert clone == o
+
+    def test_del_refused(self):
+        o = Orientation(((-1, 1),))
+        with pytest.raises(AttributeError):
+            del o.taus
+        assert o.taus == ((-1, 1),)
 
 
 class TestFiniteAbelianGroup:
@@ -117,6 +131,12 @@ class TestFiniteAbelianGroup:
         for clone in (copy.copy(z), copy.deepcopy(z), pickle.loads(pickle.dumps(z))):
             assert clone == z and clone.order == 8
 
+    def test_del_refused(self):
+        z = FiniteAbelianGroup((4, 2))
+        with pytest.raises(AttributeError):
+            del z.moduli
+        assert z.order == 8
+
 
 class TestFlowPolynomialFamily:
     def test_repr(self):
@@ -142,6 +162,11 @@ class TestFlowPolynomialFamily:
         with pytest.raises(TypeError):
             hash(a)
 
+    def test_deepcopy_and_pickle(self):
+        family = flow_polynomial_family(DIGON, 2)
+        for clone in (copy.deepcopy(family), pickle.loads(pickle.dumps(family))):
+            assert clone == family and repr(clone) == repr(family)
+
 
 class TestQuasiPolynomialFit:
     def test_repr(self):
@@ -165,3 +190,35 @@ class TestQuasiPolynomialFit:
         assert not fit.validated
         with pytest.raises(TypeError):
             hash(fit)
+
+    def test_deepcopy_and_pickle(self):
+        fit = fit_quasipolynomial([(n, n * n // 2) for n in range(1, 9)])
+        for clone in (copy.deepcopy(fit), pickle.loads(pickle.dumps(fit))):
+            assert clone == fit and repr(clone) == repr(fit)
+
+
+class TestPoly:
+    def test_repr(self):
+        assert repr(Poly([1, 2])) == "Poly([1, 2])"
+        assert repr(Poly((0, 0))) == "Poly([])"
+
+    def test_equality_and_hash(self):
+        a, b = Poly([1, 2]), Poly((1, 2, 0))
+        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+        assert a != Poly([2, 1])
+        assert Poly([1]) != (1,)
+
+    def test_frozen(self):
+        with pytest.raises(AttributeError):
+            Poly([1, 2]).coeffs = (3,)
+
+    def test_del_refused(self):
+        p = Poly([1, 2])
+        with pytest.raises(AttributeError):
+            del p.coeffs
+        assert p.coeffs == (1, 2)
+
+    def test_copy_and_pickle(self):
+        p = Poly([1, Fraction(1, 2)])
+        for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert clone == p and repr(clone) == repr(p)
