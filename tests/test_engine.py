@@ -22,6 +22,7 @@ from signedflow import (
     nonzero_sum_count,
     switch,
 )
+from signedflow.engine import _flow_poly_at_entry
 from signedflow.oracle import count_double_sum_solutions
 
 from corpusgen import (
@@ -35,6 +36,7 @@ from corpusgen import (
     TRIANGLE_ONE_NEG,
     TWO_NEG_LOOPS,
     VERTEXLESS,
+    acceptance_corpus,
     g,
     k4_with_signs,
     loop_and_multi_edge_graphs,
@@ -162,6 +164,66 @@ def oracle_agrees(graph: SignedGraph) -> bool:
         if polys[d](n) != count_group_flows(graph, gamma):
             return False
     return True
+
+
+def subset_expansion(graph: SignedGraph) -> dict[tuple[int, int], int]:
+    """F(q, n) = sum over edge sets A of (-1)^|E - A| q^k(A) n^(k(A) - u(A)),
+    as {(i, j): c} for the terms c * n^i * q^j.
+
+    k(A) is the cycle rank of (V, A) and u(A) its number of unbalanced
+    components (Beck and Zaslavsky 2006).  Union-find keeps each vertex's
+    sign parity relative to its root: an edge inside one component adds a
+    cycle, negative when the parities and the sign disagree.
+    """
+    out: dict[tuple[int, int], int] = {}
+    m = graph.num_edges
+    for mask in range(1 << m):
+        root, parity, unbalanced = list(range(graph.num_vertices)), [0] * graph.num_vertices, set()
+
+        def find(v):
+            p = 0
+            while root[v] != v:
+                p ^= parity[v]
+                v = root[v]
+            return v, p
+
+        k = size = 0
+        for i, (u, v, sign) in enumerate(graph.edges):
+            if not mask >> i & 1:
+                continue
+            size += 1
+            (ru, pu), (rv, pv) = find(u), find(v)
+            odd = pu ^ pv ^ (sign == -1)
+            if ru == rv:
+                k += 1
+                if odd:
+                    unbalanced.add(ru)
+            else:
+                root[rv], parity[rv] = ru, odd
+                if rv in unbalanced:
+                    unbalanced.add(ru)
+        u = len({find(r)[0] for r in unbalanced})
+        key = (k - u, k)
+        out[key] = out.get(key, 0) + (-1) ** (m - size)
+    return {key: c for key, c in out.items() if c}
+
+
+class TestSubsetExpansion:
+    """The engine's bivariate F(q, n), compared exactly for every q and n at once."""
+
+    def test_matches_on_the_acceptance_corpus(self):
+        for graph in acceptance_corpus():
+            assert _flow_poly_at_entry(graph, None) == subset_expansion(graph)
+
+    @given(loop_and_multi_edge_graphs(max_edges=12))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_on_loop_and_multi_edge_heavy_graphs(self, graph):
+        assert _flow_poly_at_entry(graph, None) == subset_expansion(graph)
+
+    @given(signed_graphs(max_vertices=6, max_edges=9))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_on_random_graphs(self, graph):
+        assert _flow_poly_at_entry(graph, None) == subset_expansion(graph)
 
 
 class TestFlowPolynomial:
