@@ -16,6 +16,7 @@ from .graph import (
     Edge,
     Orientation,
     SignedGraph,
+    _as_int,
     default_orientation,
     drop_edgeless_vertices,
     frontier_order,
@@ -223,6 +224,7 @@ def count_integer_nflows(g: SignedGraph, n: int, *, budget: int = DEFAULT_BUDGET
     N = (n-1) * (largest half-edge degree) + 1: every vertex sum s has
     |s| <= (n-1) * (half-edge degree) < N, so s = 0 exactly when s = 0 mod N.
     """
+    n = _as_int(n, "n")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     half_degree = Counter(w for e in g.edges for w in (e.u, e.v))

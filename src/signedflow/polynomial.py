@@ -93,7 +93,9 @@ class Poly(Value):
         return out
 
     def __call__(self, n: Coeff) -> Coeff:
-        """Evaluate by Horner's rule; exact for int and Fraction arguments."""
+        """Evaluate by Horner's rule at an int or Fraction; a float is a
+        ``TypeError``, as it is for a coefficient."""
+        n = _as_exact(n)
         acc: Coeff = 0
         for c in reversed(self.coeffs):
             acc = acc * n + c

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from signedflow import (
+    Poly,
     SignedGraph,
     abelian_groups_up_to,
     cli,
@@ -115,6 +116,28 @@ class TestPoly:
         report = json.loads(out)
         assert len(report["results"]["graph_fingerprint"]) == 64
         assert report["results"]["polynomials"][0]["coeffs"] == [-1, 1]
+
+    # Deep enough to exhaust Python's recursion limit in a recursive
+    # deletion-contraction; the frontier pass needs no recursion.
+    def poly_family(self, capsys, write_graph, graph, d_max):
+        code, out = run_cli(capsys, "poly", "--graph", write_graph(graph), "--d-max", str(d_max), "--json")
+        assert code == 0
+        return [Poly(entry["coeffs"]) for entry in json.loads(out)["results"]["polynomials"]]
+
+    def test_twelve_hundred_parallel_positive_edges(self, capsys, write_graph):
+        graph = SignedGraph(2, ((0, 1, 1),) * 1200)
+        assert self.poly_family(capsys, write_graph, graph, 0) == [nonzero_sum_count(1200)]
+
+    def test_twelve_hundred_parallel_edges_of_alternating_sign(self, capsys, write_graph):
+        # by the subset expansion, f_0 = (1 + ((1 - n)^600 - 1) / n)^2, and
+        # 1 + ((1 - n)^600 - 1) / n is the count of x_1 + ... + x_600 = 0
+        graph = SignedGraph(2, [(0, 1, (-1) ** i) for i in range(1200)])
+        assert self.poly_family(capsys, write_graph, graph, 0) == [nonzero_sum_count(600) ** 2]
+
+    def test_three_thousand_vertex_cycle_with_one_negative_edge(self, capsys, write_graph):
+        # an unbalanced cycle: all its edges take one value x with 2x = 0
+        graph = SignedGraph(3000, [(i, (i + 1) % 3000, -1 if i == 0 else 1) for i in range(3000)])
+        assert self.poly_family(capsys, write_graph, graph, 2) == [Poly(), Poly((1,)), Poly((3,))]
 
 
 class TestVerify:

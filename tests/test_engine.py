@@ -102,6 +102,11 @@ class TestNonzeroSumCount:
         with pytest.raises(ValueError):
             nonzero_sum_count(-1)
 
+    @pytest.mark.parametrize("order", [None, 5])
+    def test_float_s_is_refused(self, order):
+        with pytest.raises(ValueError, match="s must be an integer"):
+            nonzero_sum_count(2.0, order)
+
     @pytest.mark.parametrize("order", [5.5, 5.0, "5"])
     def test_non_integer_order_is_refused(self, order):
         with pytest.raises(ValueError, match="order must be an integer"):
@@ -136,6 +141,12 @@ class TestDoubleSumSolutions:
     def test_rank_zero_reduces_to_plain_sums(self):
         for t in range(5):
             assert double_sum_solutions(t, 0) == nonzero_sum_count(t)
+
+    def test_float_arguments_are_refused(self):
+        with pytest.raises(ValueError, match="t must be an integer"):
+            double_sum_solutions(2.0, 1)
+        with pytest.raises(ValueError, match="d must be an integer"):
+            double_sum_solutions(2, 1.0)
 
 
 ORDER9_GROUPS = abelian_groups_up_to(9)
@@ -280,6 +291,10 @@ class TestFlowPolynomial:
         with pytest.raises(ValueError):
             flow_polynomial(NEG_LOOP, -1)
 
+    def test_float_d_is_refused(self):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            flow_polynomial(NEG_LOOP, 1.0)
+
     @pytest.mark.parametrize(
         "graph",
         [
@@ -330,7 +345,6 @@ class TestFlowPolynomial:
     @given(signed_graphs(max_vertices=4, max_edges=5), st.data())
     @settings(max_examples=40, deadline=None)
     def test_subdividing_an_edge_keeps_every_f_d(self, graph, data):
-        # the new vertex has two half-edges, so the recursion meets the series rule
         non_loops = [i for i, e in enumerate(graph.edges) if not e.is_loop()]
         assume(non_loops)
         i = data.draw(st.sampled_from(non_loops))
@@ -351,9 +365,15 @@ class TestFlowPolynomial:
         assert all(p.is_zero() for p in flow_polynomial_family(pendant, 3).entries.values())
 
     def test_prism_edge_orders_agree(self):
-        # cycle order takes the deletion branch far more often than rung order
         cycle = flow_polynomial_family(prism(8, "cycle"), 3).entries
         assert cycle == flow_polynomial_family(prism(8, "rung"), 3).entries
+        assert not cycle[0].is_zero()
+
+    def test_long_prism_in_cycle_order(self):
+        # C40 x K2: the frontier order keeps a few vertices open whatever the
+        # listing, so the cycle-by-cycle listing costs no more than rung order
+        cycle = flow_polynomial_family(prism(40, "cycle"), 2).entries
+        assert cycle == flow_polynomial_family(prism(40, "rung"), 2).entries
         assert not cycle[0].is_zero()
 
     def test_balanced_graphs_depend_only_on_group_order(self):
@@ -371,7 +391,7 @@ class TestFlowPolynomial:
         # entries carry no d, so one reused cache serves every rank
         assert flow_polynomial(NEG_LOOP, 0, cache=cache) == Poly()
         assert flow_polynomial(NEG_LOOP, 2, cache=cache) == Poly((3,))
-        # one recursion fills the same entries for d = 0 alone and for d <= 4
+        # one pass fills the same entries for d = 0 alone and for d <= 4
         for graph in [BARBELL, TRIANGLE_ONE_NEG, k4_with_signs([-1] + [1] * 5)]:
             c0: dict = {}
             flow_polynomial(graph, 0, cache=c0)
@@ -403,6 +423,10 @@ class TestFlowPolynomialFamily:
     def test_negative_d_max_raises(self):
         with pytest.raises(ValueError):
             flow_polynomial_family(NEG_LOOP, -1)
+
+    def test_float_d_max_is_refused(self):
+        with pytest.raises(ValueError, match="d_max must be an integer"):
+            flow_polynomial_family(NEG_LOOP, 2.0)
 
     def test_isolated_vertices_are_ignored(self):
         digon = g(2, (0, 1, 1), (0, 1, -1))

@@ -254,6 +254,10 @@ class TestIntegerFlows:
         assert count_integer_nflows(POS_LOOP, 1) == 0
         assert count_integer_nflows(EDGELESS, 1) == 1
 
+    def test_float_n_is_refused(self):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            count_integer_nflows(POS_LOOP, 3.0)
+
     def test_positive_loop_uses_all_values(self):
         assert count_integer_nflows(POS_LOOP, 4) == 6
 

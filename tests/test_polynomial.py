@@ -18,6 +18,12 @@ class TestArithmetic:
         assert Poly((1, -2, 1))(3) == 4
         assert Poly(())(17) == 0
 
+    def test_float_argument_is_refused_like_a_float_coefficient(self):
+        with pytest.raises(TypeError, match="not an exact integer"):
+            Poly((1.5,))
+        with pytest.raises(TypeError, match="not an exact integer"):
+            Poly((1, 2))(1.5)
+
     def test_additive_identity(self):
         p = Poly((2, 0, 5))
         assert p + Poly() == p
