@@ -153,16 +153,23 @@ def _flow_poly_at_entry(g: SignedGraph, cache: dict[SignedGraph, _Bivariate] | N
 def _component_poly(g: SignedGraph) -> _Bivariate:
     """F(q, n) of a connected graph with at least one edge.
 
+    A state is a tuple with one label per open vertex, in the order the
+    vertices opened: its block number times 4, plus 2 if the block is
+    unbalanced, plus its parity.  Switching at the vertices of parity 1
+    makes every contracted edge of a block positive.  States are canonical,
+    so equal states meet in one entry: blocks are numbered by first
+    appearance, and a block's first vertex has parity 0.
+
     The sign (-1)^|E - A| of the subset expansion is split as
     (-1)^|E| (-1)^|A|: deleting an edge keeps a term as it is, contracting
-    it negates the term.  A frontier state (see :func:`_contract`) maps to
-    the sum of the terms q^k n^(k - u) of the edge sets that reach it, u
-    counting the blocks that closed unbalanced.  That sum is packed into
-    one int with the coefficient of (k, u) as a signed digit of ``width``
-    bits at position k + ``room`` * u, so adding two sums is one int
-    addition, k + 1 is a shift by ``width`` and u + 1 a shift by
-    ``width * room``.  Every coefficient sums at most 2^|E| terms of
-    +-1, so a digit never overflows, and k <= |E| - |V| + 1 < ``room``.
+    it negates the term.  A state maps to the sum of the terms
+    q^k n^(k - u) of the edge sets that reach it, u counting the blocks
+    that closed unbalanced.  That sum is packed into one int with the
+    coefficient of (k, u) as a signed digit of ``width`` bits at position
+    k + ``room`` * u, so adding two sums is one int addition, k + 1 is a
+    shift by ``width`` and u + 1 a shift by ``width * room``.  Every
+    coefficient sums at most 2^|E| terms of +-1, so a digit never
+    overflows, and k <= |E| - |V| + 1 < ``room``.
 
     Loops never join blocks.  A positive loop in A adds a cycle and leaves
     balance alone, so the P positive loops give a factor (1 - X)^P with
@@ -240,15 +247,7 @@ def _open(states: dict[tuple[int, ...], int], unbalanced: int) -> dict[tuple[int
 def _contract(states: dict[tuple[int, ...], int], sa: int, sb: int, negative: bool,
               width: int) -> dict[tuple[int, ...], int]:
     """Each state with the edge between slots ``sa`` and ``sb`` deleted (as
-    it is) and contracted (negated).
-
-    A state is a tuple with one label per open vertex: its block number
-    times 4, plus 2 if the block is unbalanced, plus its parity.  Switching
-    at the vertices of parity 1 makes every contracted edge of a block
-    positive.  States are canonical, so equal states meet in one entry:
-    blocks are numbered by first appearance, and a block's first vertex has
-    parity 0.
-    """
+    it is) and contracted (negated); see :func:`_component_poly`."""
     out: dict[tuple[int, ...], int] = {}
     for s, c in states.items():
         out[s] = out.get(s, 0) + c
