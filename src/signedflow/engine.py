@@ -8,7 +8,7 @@ integer coefficients and every f_d is F(2^d, n).
 Unrolling deletion-contraction over every edge gives the subset expansion
 of Beck and Zaslavsky (2006):
 
-    F(q, n) = sum over A in E of (-1)^|E - A| q^k(A) n^(k(A) - u(A)),
+    F(q, n) = sum over edge sets A of (-1)^|E - A| q^k(A) n^(k(A) - u(A)),
 
 where k(A) is the cycle rank of (V, A) and u(A) its number of unbalanced
 components.  The engine sums it in one iterative pass over the edges in
