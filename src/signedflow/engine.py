@@ -195,27 +195,25 @@ def _component_poly(g: SignedGraph) -> _Bivariate:
     room = m - g.num_vertices + 2
     level = width * room
 
-    if not edges:  # one vertex: it opens and closes with its negative loops
-        total = 1 + ((1 - x) ** negative[0] - 1 << level)
-    else:
-        last = {}
-        for i, e in enumerate(edges):
-            last[e.u] = last[e.v] = i
-        slots: list[int] = []  # the open vertices, in the order they opened
-        states: dict[tuple[int, ...], int] = {(): 1}
-        for i, (a, b, sign) in enumerate(edges):
-            for v in (a, b):
-                if v not in slots:
-                    slots.append(v)
-                    states = _open(states, (1 - x) ** negative[v] - 1)
-            states = _contract(states, slots.index(a), slots.index(b), sign < 0, width)
-            closing = sorted((slots.index(v) for v in {a, b} if last[v] == i), reverse=True)
-            for slot in closing:
-                del slots[slot]
-            if closing:
-                states = _close(states, closing, level)
-        total = states.get((), 0)
-    total *= (1 - x) ** positive
+    states: dict[tuple[int, ...], int] = {(): 1}
+    if not edges:  # one vertex with loops only: it opens and closes
+        states = _close(_open(states, (1 - x) ** negative[0] - 1), [0], level)
+    last = {}
+    for i, e in enumerate(edges):
+        last[e.u] = last[e.v] = i
+    slots: list[int] = []  # the open vertices, in the order they opened
+    for i, (a, b, sign) in enumerate(edges):
+        for v in (a, b):
+            if v not in slots:
+                slots.append(v)
+                states = _open(states, (1 - x) ** negative[v] - 1)
+        states = _contract(states, slots.index(a), slots.index(b), sign < 0, width)
+        closing = sorted((slots.index(v) for v in {a, b} if last[v] == i), reverse=True)
+        for slot in closing:
+            del slots[slot]
+        if closing:
+            states = _close(states, closing, level)
+    total = states.get((), 0) * (1 - x) ** positive
 
     # read the signed digits back: bias each by half a digit so none borrows
     size = total.bit_length() // width + 2
