@@ -315,6 +315,43 @@ def frontier_order(g: SignedGraph) -> list[int]:
     return sorted(range(g.num_edges), key=lambda i: max(rank[g.edges[i].u], rank[g.edges[i].v]))
 
 
+def frontier_walk(g: SignedGraph) -> list[tuple[int, int, int, tuple[int, ...], tuple[int, ...]]]:
+    """The edges of ``g`` in :func:`frontier_order`, each with the slots its
+    ends hold while open: ``(edge id, slot of u, slot of v, slots opened at
+    this edge, slots freed after it)``.
+
+    A vertex takes a slot at its first edge and frees it after its last; a
+    new vertex takes the slot freed most recently, else a new one, so there
+    are as many slots as vertices ever open at once.  The engine and the
+    oracle both follow this one schedule.
+
+    >>> frontier_walk(SignedGraph.from_edges(3, [(1, 2, 1), (0, 1, -1), (2, 2, 1)]))
+    [(1, 0, 1, (0, 1), (0,)), (0, 1, 0, (0,), (1,)), (2, 0, 0, (), (0,))]
+    """
+    order = frontier_order(g)
+    last = [-1] * g.num_vertices
+    for pos, i in enumerate(order):
+        last[g.edges[i].u] = last[g.edges[i].v] = pos
+    slot = [-1] * g.num_vertices
+    free: list[int] = []
+    walk = []
+    used = 0
+    for pos, i in enumerate(order):
+        u, v, _ = g.edges[i]
+        ends = (u,) if u == v else (u, v)
+        opened = []
+        for w in ends:
+            if slot[w] < 0:
+                if not free:  # every slot is held: add one
+                    free, used = [used], used + 1
+                slot[w] = free.pop()
+                opened.append(slot[w])
+        freed = tuple(slot[w] for w in ends if last[w] == pos)
+        free.extend(freed)
+        walk.append((i, slot[u], slot[v], tuple(opened), freed))
+    return walk
+
+
 def connected_components(g: SignedGraph) -> list[SignedGraph]:
     """Split into vertex-disjoint components, each densely relabeled.
 

@@ -24,7 +24,7 @@ from signedflow import (
     switch,
 )
 
-from signedflow.graph import drop_edgeless_vertices, frontier_order
+from signedflow.graph import drop_edgeless_vertices, frontier_order, frontier_walk
 
 from corpusgen import (
     DIGON_PM,
@@ -444,6 +444,37 @@ class TestFrontierOrder:
         prism = SignedGraph.from_edges(2 * k, [(u, v, 1) for u, v in pairs])
         assert open_vertex_peak(prism, list(range(prism.num_edges))) == 2 * k
         assert open_vertex_peak(prism, frontier_order(prism)) <= 6
+
+
+class TestFrontierWalk:
+    @given(signed_graphs(max_vertices=7, max_edges=10))
+    @settings(max_examples=100, deadline=None)
+    def test_each_vertex_holds_its_own_slot_from_its_first_edge_to_its_last(self, graph):
+        order = frontier_order(graph)
+        walk = frontier_walk(graph)
+        assert [step[0] for step in walk] == order
+        first: dict[int, int] = {}
+        last: dict[int, int] = {}
+        for pos, i in enumerate(order):
+            for w in (graph.edges[i].u, graph.edges[i].v):
+                first.setdefault(w, pos)
+                last[w] = pos
+        holder: dict[int, int] = {}  # slot -> the open vertex in it
+        for pos, (i, su, sv, opened, freed) in enumerate(walk):
+            u, v, _ = graph.edges[i]
+            slot = {u: su, v: sv}
+            for w in slot:
+                if first[w] == pos:
+                    assert slot[w] not in holder
+                    holder[slot[w]] = w
+                assert holder[slot[w]] == w
+            assert sorted(opened) == sorted(slot[w] for w in slot if first[w] == pos)
+            assert sorted(freed) == sorted(slot[w] for w in slot if last[w] == pos)
+            for p in freed:
+                del holder[p]
+        assert not holder
+        used = {p for _, su, sv, _, _ in walk for p in (su, sv)}
+        assert used == set(range(open_vertex_peak(graph, order)))
 
 
 def _rewrites(graph: SignedGraph):
