@@ -11,8 +11,8 @@ of Beck and Zaslavsky (2006):
     F(q, n) = sum over edge sets A of (-1)^|E - A| q^k(A) n^(k(A) - u(A)),
 
 where k(A) is the cycle rank of (V, A) and u(A) its number of unbalanced
-components.  The engine sums it in one iterative pass over the edges in
-``graph.frontier_order``, keeping only what the remaining edges can still
+components.  The engine sums it in one iterative pass along
+``graph.frontier_walk``, keeping only what the remaining edges can still
 see: the open vertices, split into blocks by the contracted edges (the
 edges in A), each vertex with its sign parity relative to its block and
 each block with an unbalanced flag.  No minor is built and nothing
@@ -29,7 +29,7 @@ from .graph import (
     _as_int,
     connected_components,
     drop_edgeless_vertices,
-    frontier_order,
+    frontier_walk,
     graph_fingerprint,
 )
 # unused here; perfbench/tracing.py wraps these names on this module
@@ -153,12 +153,13 @@ def _flow_poly_at_entry(g: SignedGraph, cache: dict[SignedGraph, _Bivariate] | N
 def _component_poly(g: SignedGraph) -> _Bivariate:
     """F(q, n) of a connected graph with at least one edge.
 
-    A state is a tuple with one label per open vertex, in the order the
-    vertices opened: its block number times 4, plus 2 if the block is
-    unbalanced, plus its parity.  Switching at the vertices of parity 1
-    makes every contracted edge of a block positive.  States are canonical,
-    so equal states meet in one entry: blocks are numbered by first
-    appearance, and a block's first vertex has parity 0.
+    The edges are taken along :func:`frontier_walk`.  A state is a tuple
+    with one label per slot: its block number times 4, plus 2 if the block
+    is unbalanced, plus its parity.  Switching at the vertices of parity 1
+    makes every contracted edge of a block positive.  A block is named
+    after its lowest slot, and that slot has parity 0, so equal states meet
+    in one entry.  A free slot p holds ``p << 2``, a balanced block of its
+    own, which is what a vertex is when it opens.
 
     The sign (-1)^|E - A| of the subset expansion is split as
     (-1)^|E| (-1)^|A|: deleting an edge keeps a term as it is, contracting
@@ -171,49 +172,29 @@ def _component_poly(g: SignedGraph) -> _Bivariate:
     coefficient sums at most 2^|E| terms of +-1, so a digit never
     overflows, and k <= |E| - |V| + 1 < ``room``.
 
-    Loops never join blocks.  A positive loop in A adds a cycle and leaves
-    balance alone, so the P positive loops give a factor (1 - X)^P with
-    X = 2^width, that is k + s with sign (-1)^s in C(P, s) ways.  The t
-    negative loops at a vertex act once, when it opens as a block of its
-    own: with none of them in A it stays balanced, with s >= 1 of them k
-    grows by s and it is unbalanced, giving weight (1 - X)^t - 1.
+    A loop is an edge with both ends at one slot: in A it adds a cycle, and
+    a negative one unbalances its block.  A positive loop changes no state,
+    so the P positive loops give a factor (1 - X)^P with X = 2^width.
     """
-    negative = [0] * g.num_vertices  # negative loops at each vertex
-    positive = 0
-    edges = []
-    for i in frontier_order(g):
-        e = g.edges[i]
-        if e.u != e.v:
-            edges.append(e)
-        elif e.sign > 0:
-            positive += 1
-        else:
-            negative[e.u] += 1
+    walk = frontier_walk(g)
     m = g.num_edges
     width = (m + 9) // 8 * 8  # whole bytes, and |digit| <= 2^m < 2^(width - 1)
     x = 1 << width
     room = m - g.num_vertices + 2
     level = width * room
 
-    states: dict[tuple[int, ...], int] = {(): 1}
-    if not edges:  # one vertex with loops only: it opens and closes
-        states = _close(_open(states, (1 - x) ** negative[0] - 1), [0], level)
-    last = {}
-    for i, e in enumerate(edges):
-        last[e.u] = last[e.v] = i
-    slots: list[int] = []  # the open vertices, in the order they opened
-    for i, (a, b, sign) in enumerate(edges):
-        for v in (a, b):
-            if v not in slots:
-                slots.append(v)
-                states = _open(states, (1 - x) ** negative[v] - 1)
-        states = _contract(states, slots.index(a), slots.index(b), sign < 0, width)
-        closing = sorted((slots.index(v) for v in {a, b} if last[v] == i), reverse=True)
-        for slot in closing:
-            del slots[slot]
-        if closing:
-            states = _close(states, closing, level)
-    total = states.get((), 0) * (1 - x) ** positive
+    free = tuple(p << 2 for p in range(1 + max(max(su, sv) for _, su, sv, _, _ in walk)))
+    states = {free: 1}
+    positive = 0
+    for i, su, sv, _, freed in walk:
+        negative = g.edges[i].sign < 0
+        if su == sv and not negative:
+            positive += 1
+        else:
+            states = _contract(states, su, sv, negative, width)
+        if freed:
+            states = _close(states, freed, level)
+    total = states.get(free, 0) * (1 - x) ** positive
 
     # read the signed digits back: bias each by half a digit so none borrows
     size = total.bit_length() // width + 2
@@ -227,18 +208,6 @@ def _component_poly(g: SignedGraph) -> _Bivariate:
         if c:
             u, k = divmod(p, room)
             out[k - u, k] = sign * c
-    return out
-
-
-def _open(states: dict[tuple[int, ...], int], unbalanced: int) -> dict[tuple[int, ...], int]:
-    """Each state with one more open vertex, a block of its own: balanced,
-    or unbalanced with weight ``unbalanced`` (its negative loops in A)."""
-    out = {}
-    for s, c in states.items():
-        label = (max(s) >> 2) + 1 << 2 if s else 0
-        out[s + (label,)] = c
-        if unbalanced:
-            out[s + (label | 2,)] = c * unbalanced
     return out
 
 
@@ -258,40 +227,40 @@ def _contract(states: dict[tuple[int, ...], int], sa: int, sb: int, negative: bo
             if odd and not la & 2:
                 s = tuple(l | 2 if l >> 2 == ba else l for l in s)
         else:
-            # the later block joins the earlier one, its parities flipped
-            # to make the edge positive; later block numbers move down
+            # the higher block joins the lower one, its parities flipped
+            # to make the edge positive
             lo, hi = (ba, bb) if ba < bb else (bb, ba)
             unbalanced = (la | lb) & 2
             s = tuple((lo << 2) | unbalanced | (l ^ odd) & 1 if l >> 2 == hi
-                      else l | unbalanced if l >> 2 == lo
-                      else l - 4 if l >> 2 > hi else l
+                      else l | unbalanced if l >> 2 == lo else l
                       for l in s)
         out[s] = out.get(s, 0) - c
     return out
 
 
-def _close(states: dict[tuple[int, ...], int], closing: list[int],
+def _close(states: dict[tuple[int, ...], int], freed: tuple[int, ...],
            level: int) -> dict[tuple[int, ...], int]:
-    """Each state without the vertices at the slots ``closing`` (in
-    decreasing order), canonical again.  A block that loses its last vertex
-    closes, and u grows by 1 if it is unbalanced."""
+    """Each state with the slots ``freed`` free again.  A block that loses
+    its last vertex closes, and u grows by 1 if it is unbalanced; one that
+    loses its lowest slot is named after its next, parities flipped so that
+    slot has parity 0."""
     out: dict[tuple[int, ...], int] = {}
     for s, c in states.items():
         if not c:
             continue
-        rest = list(s)
-        for slot in closing:
-            label = rest.pop(slot)
-            # the block's other vertices share its label up to parity
-            if label & 2 and label not in rest and label ^ 1 not in rest:
+        s = list(s)
+        for p in freed:
+            label, s[p] = s[p], p << 2
+            if label >> 2 != p:
+                continue  # the block's lowest slot stays open
+            rest = [q for q in range(p + 1, len(s)) if s[q] >> 2 == p]
+            if rest:
+                flip = s[rest[0]] & 1
+                for q in rest:
+                    s[q] = (rest[0] << 2) | (label & 2) | (s[q] ^ flip) & 1
+            elif label & 2:
                 c <<= level
-        first: dict[int, int] = {}  # old block -> new label of its first vertex
-        for i, l in enumerate(rest):
-            f = first.get(l >> 2)
-            if f is None:
-                f = first[l >> 2] = (len(first) << 2) | (l & 3)
-            rest[i] = (f & ~1) | (l ^ f) & 1
-        key = tuple(rest)
+        key = tuple(s)
         out[key] = out.get(key, 0) + c
     return out
 

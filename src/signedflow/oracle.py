@@ -19,7 +19,7 @@ from .graph import (
     _as_int,
     default_orientation,
     drop_edgeless_vertices,
-    frontier_order,
+    frontier_walk,
 )
 from .groups import FiniteAbelianGroup, GroupElement
 
@@ -66,18 +66,18 @@ def _count_flows(
 
     ``values`` are ranges of element indices of ``gamma`` (see
     ``index_table``); an index in two ranges is two values.  A frontier
-    transfer-matrix count: edges are taken in :func:`frontier_order`, and a
-    vertex is open from its first edge to its last.  A state holds the sums
-    at the open vertices, as the base-``order`` digits of one int, and maps
-    to the number of partial assignments that reach it.  The edge that
-    closes a vertex is forced: the value whose contribution there negates
-    the vertex's sum is looked up, not looped over.
+    transfer-matrix count along :func:`frontier_walk`: a state holds the
+    sums at the open vertices, as the base-``order`` digits of one int (the
+    walk's slots are the digit places), and maps to the number of partial
+    assignments that reach it.  The edge that closes a vertex is forced:
+    the value whose contribution there negates the vertex's sum is looked
+    up, not looped over.  A closed vertex's digit is 0 in every surviving
+    state, so its slot can pass to the next vertex opened.
 
     Edgeless vertices are dropped first.  Before any table is built, one
-    planning pass gives each edge its record: the place values of its ends'
-    digit slots (a closed vertex's digit is 0 in every surviving state, so
-    its slot passes to the next vertex opened), its tau values and how many
-    ends it closes, a closing end first.  The same pass bounds the steps (a
+    planning pass over the walk gives each edge its record: the place
+    values of its ends' slots, its tau values and how many ends it closes,
+    a closing end first.  The same pass bounds the steps (a
     state extended by a value, or a table entry): 4 * order + len(values)
     for the fixed tables; at each edge, (states before it) * (1 if it
     closes an end, else len(values)), 2 * (order + len(values)) for value
@@ -86,44 +86,31 @@ def _count_flows(
     states.  Past ``budget`` steps, ``BudgetExceededError`` is raised.  The
     count then only reads the records.
     """
+    budget = _as_int(budget, "budget")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     g = drop_edgeless_vertices(g)
     if not g.edges:
         return 1
     r, num_values = gamma.order, sum(map(len, values))
-    order = frontier_order(g)
-    last = [-1] * g.num_vertices
-    for pos, i in enumerate(order):
-        e = g.edges[i]
-        last[e.u] = last[e.v] = pos
+    walk = frontier_walk(g)
     plan: list[tuple[int, int, int, int, int]] = []
-    slot = [-1] * g.num_vertices
-    free: list[int] = []
     num_open, steps, bound = 0, 4 * r + num_values, 1
-    for pos, i in enumerate(order):
-        (u, v, _), (t0, t1) = g.edges[i], tau.taus[i]
-        ends = (u,) if u == v else (u, v)
-        closes = sum(last[w] == pos for w in ends)
+    for pos, (i, su, sv, opened, freed) in enumerate(walk):
+        t0, t1 = tau.taus[i]
+        closes = len(freed)
         fanout = 1 if closes else num_values
-        steps += bound * fanout + 2 * (r + num_values) + min(bound * (len(ends) - closes), r) * r
+        steps += bound * fanout + 2 * (r + num_values) + min(bound * ((su != sv) + 1 - closes), r) * r
         if steps > budget:
             raise BudgetExceededError(
-                f"up to {steps} transfer-matrix steps by edge {pos + 1} of {len(order)} "
+                f"up to {steps} transfer-matrix steps by edge {pos + 1} of {len(walk)} "
                 f"with {num_open} vertices open exceed budget {budget}"
             )
-        for w in ends:
-            if slot[w] < 0:
-                slot[w] = free.pop() if free else num_open
-                num_open += 1
-        for w in ends:
-            if last[w] == pos:
-                free.append(slot[w])
-                num_open -= 1
+        num_open += len(opened) - closes
         bound = min(bound * fanout, r**num_open)
-        if last[u] != pos:  # v closes, or neither end does
-            u, v, t0, t1 = v, u, t1, t0
-        plan.append((r ** slot[u], r ** slot[v], t0, t1, closes))
+        if su not in freed:  # v closes, or neither end does
+            su, sv, t0, t1 = sv, su, t1, t0
+        plan.append((r**su, r**sv, t0, t1, closes))
 
     scaled: dict[int, list[int]] = {}
 
@@ -243,6 +230,7 @@ def count_double_sum_solutions(
     These are the nowhere-zero flows on one vertex with t negative loops,
     each of which adds +-2*x_i there.
     """
+    t = _as_int(t, "t")
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     return count_group_flows(SignedGraph(1, (Edge(0, 0, -1),) * t), gamma, budget=budget)

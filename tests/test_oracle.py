@@ -333,6 +333,10 @@ class TestDoubleSumOracle:
         with pytest.raises(ValueError):
             count_double_sum_solutions(-1, Z2)
 
+    def test_float_t_is_refused(self):
+        with pytest.raises(ValueError, match="t must be an integer"):
+            count_double_sum_solutions(2.0, Z4)
+
 
 class TestEqualInvariantsEqualCounts:
     def test_same_invariants_give_same_counts(self):
@@ -360,6 +364,10 @@ class TestBudget:
             count_group_flows(TRIANGLE, Z3, budget=-5)
         with pytest.raises(ValueError, match="budget"):
             count_integer_nflows(EDGELESS, 2, budget=-1)
+
+    def test_float_budget_is_refused(self):
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            count_group_flows(TRIANGLE, Z3, budget=1e9)
 
     def test_positive_k8_over_z5_fits_the_default_budget(self):
         assert count_group_flows(K8, Z5) == flow_polynomial(K8, 0)(5)
