@@ -183,8 +183,9 @@ def _component_poly(g: SignedGraph) -> _Bivariate:
     room = m - g.num_vertices + 2
     level = width * room
 
-    free = tuple(p << 2 for p in range(1 + max(max(su, sv) for _, su, sv, _, _ in walk)))
-    states = {free: 1}
+    # every slot is free at the start, and again after the last edge
+    start = tuple(p << 2 for p in range(1 + max(max(su, sv) for _, su, sv, _, _ in walk)))
+    states = {start: 1}
     positive = 0
     for i, su, sv, _, freed in walk:
         negative = g.edges[i].sign < 0
@@ -194,7 +195,7 @@ def _component_poly(g: SignedGraph) -> _Bivariate:
             states = _contract(states, su, sv, negative, width)
         if freed:
             states = _close(states, freed, level)
-    total = states.get(free, 0) * (1 - x) ** positive
+    total = states.get(start, 0) * (1 - x) ** positive
 
     # read the signed digits back: bias each by half a digit so none borrows
     size = total.bit_length() // width + 2
