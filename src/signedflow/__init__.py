@@ -1,8 +1,9 @@
 """Exact counting of nowhere-zero flows on signed graphs.
 
-The oracle module enumerates flows by brute force; the engine computes, by
-deletion-contraction, the polynomial family giving the same counts for
-every finite abelian group with a fixed 2-rank.
+The oracle module counts the flows over one group with a frontier transfer
+matrix; the engine computes, in one frontier pass over the subset expansion
+that deletion-contraction unrolls to, the polynomial family giving the same
+counts for every finite abelian group with a fixed 2-rank.
 """
 
 from .engine import (

@@ -17,6 +17,7 @@ from . import engine, oracle
 from .graph import SignedGraph, graph_to_text, parse_graph_text, signatures_equivalent, switch
 from .groups import FiniteAbelianGroup, abelian_groups_up_to, group_pairs_same_invariants, parse_group_spec
 from .polynomial import Poly
+from .values import _as_int
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -85,8 +86,7 @@ def _cmd_count(args) -> tuple[dict, list[str], int]:
 
 def _cmd_poly(args) -> tuple[dict, list[str], int]:
     g = _load_graph(args.graph)
-    if args.d_max < 0:
-        raise ValueError(f"d-max must be nonnegative, got {args.d_max}")
+    _as_int(args.d_max, "d-max", least=0)
     family = engine.flow_polynomial_family(g, args.d_max, cache={})
     polys = [{"d": d, **_poly_json(p)} for d, p in sorted(family.entries.items())]
     results = {"d_max": args.d_max, "polynomials": polys,
@@ -99,8 +99,7 @@ def _cmd_poly(args) -> tuple[dict, list[str], int]:
 
 def _cmd_verify(args) -> tuple[dict, list[str], int]:
     g = _load_graph(args.graph)
-    if args.max_order < 1:
-        raise ValueError(f"max-order must be at least 1, got {args.max_order}")
+    _as_int(args.max_order, "max-order", least=1)
     gammas = abelian_groups_up_to(args.max_order)
     family = engine.flow_polynomial_family(g, max(gamma.two_rank for gamma in gammas), cache={})
     group_rows = []
@@ -162,8 +161,7 @@ def _cmd_switch(args) -> tuple[dict, list[str], int]:
 
 def _cmd_intflow(args) -> tuple[dict, list[str], int]:
     g = _load_graph(args.graph)
-    if args.n_max < 1:
-        raise ValueError(f"n-max must be at least 1, got {args.n_max}")
+    _as_int(args.n_max, "n-max", least=1)
     counts = [(n, oracle.count_integer_nflows(g, n, budget=args.budget))
               for n in range(1, args.n_max + 1)]
     results: dict = {"counts": [{"n": n, "count": c} for n, c in counts]}

@@ -26,7 +26,6 @@ from typing import Iterable
 
 from .graph import (
     SignedGraph,
-    _as_int,
     connected_components,
     drop_edgeless_vertices,
     frontier_walk,
@@ -35,7 +34,7 @@ from .graph import (
 # unused here; perfbench/tracing.py wraps these names on this module
 from .graph import contract_edge, delete_edge, make_edge_positive  # noqa: F401
 from .polynomial import Poly, _as_exact, interpolate
-from .values import Record
+from .values import Record, _as_int
 
 # F(q, n) as {(i, j): c} for the terms c * n^i * q^j, zero terms omitted.
 # Memoised values are shared between callers, so they are never mutated.
@@ -92,11 +91,9 @@ def nonzero_sum_count(s: int, order: int | None = None) -> Poly | int:
     it, but the enumeration oracle pins it at 1.  The polynomial is the
     negative-loop count at q = 1, where doubling is a bijection.
     """
-    s = _as_int(s, "s")
-    if s < 0:
-        raise ValueError(f"s must be nonnegative, got {s}")
+    s = _as_int(s, "s", least=0)
     if order is not None:
-        order = _as_int(order, "order")
+        order = _as_int(order, "order", least=1)
         if s == 0:
             return 1
         return sum((-1) ** (i - 1) * (order - 1) ** (s - i) for i in range(1, s))
@@ -109,11 +106,7 @@ def double_sum_solutions(t: int, d: int) -> Poly:
 
     This is the negative-loop count evaluated at q = 2^d.
     """
-    t, d = _as_int(t, "t"), _as_int(d, "d")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if d < 0:
-        raise ValueError(f"d must be nonnegative, got {d}")
+    t, d = _as_int(t, "t", least=0), _as_int(d, "d", least=0)
     return _at_q(_negative_loops(t), d)
 
 
@@ -130,9 +123,7 @@ def flow_polynomial(g: SignedGraph, d: int, *, cache: dict[SignedGraph, _Bivaria
     means a fresh dict).  Entries carry no d, so a cache may be shared
     across calls and across values of d.
     """
-    d = _as_int(d, "d")
-    if d < 0:
-        raise ValueError(f"d must be nonnegative, got {d}")
+    d = _as_int(d, "d", least=0)
     return _at_q(_flow_poly_at_entry(g, cache), d)
 
 
@@ -157,9 +148,12 @@ def _component_poly(g: SignedGraph) -> _Bivariate:
     with one label per slot: its block number times 4, plus 2 if the block
     is unbalanced, plus its parity.  Switching at the vertices of parity 1
     makes every contracted edge of a block positive.  A block is named
-    after its lowest slot, and that slot has parity 0, so equal states meet
-    in one entry.  A free slot p holds ``p << 2``, a balanced block of its
-    own, which is what a vertex is when it opens.
+    after the slot of its member that leaves last (ties go to the lower
+    slot), and that member has parity 0, so equal states meet in one entry
+    and a block's name is freed only when the block closes.  No later edge
+    can make an unbalanced block balanced, so its parities are all 0.  A
+    free slot p holds ``p << 2``, a balanced block of its own, which is
+    what a vertex is when it opens.
 
     The sign (-1)^|E - A| of the subset expansion is split as
     (-1)^|E| (-1)^|A|: deleting an edge keeps a term as it is, contracting
@@ -184,15 +178,20 @@ def _component_poly(g: SignedGraph) -> _Bivariate:
     level = width * room
 
     # every slot is free at the start, and again after the last edge
-    start = tuple(p << 2 for p in range(1 + max(max(su, sv) for _, su, sv, _, _ in walk)))
+    slots = 1 + max(max(su, sv) for _, su, sv, _, _ in walk)
+    start = tuple(p << 2 for p in range(slots))
+    # ranks the vertices in the slots by when they leave, ties to the lower slot
+    leave = [0] * slots
     states = {start: 1}
     positive = 0
-    for i, su, sv, _, freed in walk:
+    for i, su, sv, opened, freed in walk:
+        for p, last in opened:
+            leave[p] = last * slots - p
         negative = g.edges[i].sign < 0
         if su == sv and not negative:
             positive += 1
         else:
-            states = _contract(states, su, sv, negative, width)
+            states = _contract(states, su, sv, negative, width, leave)
         if freed:
             states = _close(states, freed, level)
     total = states.get(start, 0) * (1 - x) ** positive
@@ -213,54 +212,47 @@ def _component_poly(g: SignedGraph) -> _Bivariate:
 
 
 def _contract(states: dict[tuple[int, ...], int], sa: int, sb: int, negative: bool,
-              width: int) -> dict[tuple[int, ...], int]:
+              width: int, leave: list[int]) -> dict[tuple[int, ...], int]:
     """Each state with the edge between slots ``sa`` and ``sb`` deleted (as
-    it is) and contracted (negated); see :func:`_component_poly`."""
+    it is) and contracted (negated); ``leave`` ranks the slots' vertices by
+    when they leave.  See :func:`_component_poly`."""
     out: dict[tuple[int, ...], int] = {}
     for s, c in states.items():
         out[s] = out.get(s, 0) + c
         la, lb = s[sa], s[sb]
         ba, bb = la >> 2, lb >> 2
-        odd = (la ^ lb ^ negative) & 1  # the edge is negative after switching
         if ba == bb:
             # a cycle in one block; a negative one unbalances the block
             c <<= width
-            if odd and not la & 2:
-                s = tuple(l | 2 if l >> 2 == ba else l for l in s)
+            if (la ^ lb ^ negative) & 1 and not la & 2:
+                s = tuple(ba << 2 | 2 if l >> 2 == ba else l for l in s)
         else:
-            # the higher block joins the lower one, its parities flipped
-            # to make the edge positive
-            lo, hi = (ba, bb) if ba < bb else (bb, ba)
-            unbalanced = (la | lb) & 2
-            s = tuple((lo << 2) | unbalanced | (l ^ odd) & 1 if l >> 2 == hi
-                      else l | unbalanced if l >> 2 == lo else l
-                      for l in s)
+            # the block whose name leaves later keeps it, and the other joins
+            keep, join = (ba, bb) if leave[ba] > leave[bb] else (bb, ba)
+            if (la | lb) & 2:
+                s = tuple(keep << 2 | 2 if l >> 2 == ba or l >> 2 == bb else l for l in s)
+            else:
+                # its parities flipped if the edge is negative after switching
+                odd = (la ^ lb ^ negative) & 1
+                s = tuple(keep << 2 | (l ^ odd) & 1 if l >> 2 == join else l for l in s)
         out[s] = out.get(s, 0) - c
     return out
 
 
 def _close(states: dict[tuple[int, ...], int], freed: tuple[int, ...],
            level: int) -> dict[tuple[int, ...], int]:
-    """Each state with the slots ``freed`` free again.  A block that loses
-    its last vertex closes, and u grows by 1 if it is unbalanced; one that
-    loses its lowest slot is named after its next, parities flipped so that
-    slot has parity 0."""
+    """Each state with the slots ``freed`` free again.  A block's name
+    leaves last, so freeing it closes the block, and u grows by 1 if the
+    block is unbalanced."""
     out: dict[tuple[int, ...], int] = {}
     for s, c in states.items():
         if not c:
             continue
         s = list(s)
         for p in freed:
-            label, s[p] = s[p], p << 2
-            if label >> 2 != p:
-                continue  # the block's lowest slot stays open
-            rest = [q for q in range(p + 1, len(s)) if s[q] >> 2 == p]
-            if rest:
-                flip = s[rest[0]] & 1
-                for q in rest:
-                    s[q] = (rest[0] << 2) | (label & 2) | (s[q] ^ flip) & 1
-            elif label & 2:
+            if s[p] == p << 2 | 2:
                 c <<= level
+            s[p] = p << 2
         key = tuple(s)
         out[key] = out.get(key, 0) + c
     return out
@@ -281,9 +273,7 @@ def flow_polynomial_family(
 ) -> FlowPolynomialFamily:
     """f_0..f_d_max from one F(q, n): f_d is F(2^d, n), see
     :func:`flow_polynomial`."""
-    d_max = _as_int(d_max, "d_max")
-    if d_max < 0:
-        raise ValueError(f"d_max must be nonnegative, got {d_max}")
+    d_max = _as_int(d_max, "d_max", least=0)
     f = _flow_poly_at_entry(g, cache)
     entries = {d: _at_q(f, d) for d in range(d_max + 1)}
     return FlowPolynomialFamily(entries=entries, graph_fingerprint=graph_fingerprint(g))
@@ -328,8 +318,6 @@ def fit_quasipolynomial(samples: Iterable[tuple[int, int]]) -> QuasiPolynomialFi
     validated = True
     for parity in (0, 1):
         cls = [(n, c) for n, c in pts if n % 2 == parity]
-        if len(cls) < 3:
-            raise ValueError(f"need at least 3 samples of parity {parity}, got {len(cls)}")
         held_out = cls[-1]
         p = interpolate(cls[:-1])
         if p(held_out[0]) != held_out[1]:

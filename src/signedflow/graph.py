@@ -10,10 +10,9 @@ may return its input.
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable, NamedTuple
 
-from .values import Value
+from .values import Value, _as_int
 
 
 class Edge(NamedTuple):
@@ -25,15 +24,6 @@ class Edge(NamedTuple):
 
     def is_loop(self) -> bool:
         return self.u == self.v
-
-
-def _as_int(value, what: str) -> int:
-    """``operator.index(value)``; a float or any other non-integer is a
-    ``ValueError``, so no float enters a count."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 class SignedGraph(Value):
@@ -48,9 +38,7 @@ class SignedGraph(Value):
     __slots__ = ("num_vertices", "edges")
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int, int]] = ()) -> None:
-        n = _as_int(num_vertices, "num_vertices")
-        if n < 0:
-            raise ValueError(f"num_vertices must be nonnegative, got {n}")
+        n = _as_int(num_vertices, "num_vertices", least=0)
         checked = []
         for i, e in enumerate(edges):
             u, v, sign = e
@@ -114,6 +102,7 @@ def default_orientation(g: SignedGraph) -> Orientation:
 
 def reverse_edge(o: Orientation, edge_id: int) -> Orientation:
     """Negate both tau values of one edge; validity is preserved."""
+    edge_id = _as_int(edge_id, "edge id")
     if not 0 <= edge_id < len(o.taus):
         raise ValueError(f"no edge with id {edge_id}")
     taus = list(o.taus)
@@ -132,17 +121,15 @@ def _derived(num_vertices: int, edges: tuple[Edge, ...]) -> SignedGraph:
     return out
 
 
-def _check_edge_id(g: SignedGraph, edge_id: int) -> Edge:
+def _check_edge_id(g: SignedGraph, edge_id: int) -> int:
+    edge_id = _as_int(edge_id, "edge id")
     if not 0 <= edge_id < g.num_edges:
         raise ValueError(f"no edge with id {edge_id} (graph has {g.num_edges} edges)")
-    return g.edges[edge_id]
+    return edge_id
 
 
 def _check_edge_ids(g: SignedGraph, ids: Iterable[int]) -> frozenset[int]:
-    out = frozenset(ids)
-    for i in out:
-        _check_edge_id(g, i)
-    return out
+    return frozenset(_check_edge_id(g, i) for i in ids)
 
 
 def switch(g: SignedGraph, x: Iterable[int]) -> SignedGraph:
@@ -150,7 +137,7 @@ def switch(g: SignedGraph, x: Iterable[int]) -> SignedGraph:
 
     Loops lie in no edge-cut and are never affected.
     """
-    xs = frozenset(x)
+    xs = frozenset(_as_int(v, "vertex") for v in x)
     for v in xs:
         if not 0 <= v < g.num_vertices:
             raise ValueError(f"vertex {v} out of range 0..{g.num_vertices - 1}")
@@ -220,7 +207,7 @@ def cycle_sign(g: SignedGraph, cycle: Iterable[int]) -> int:
 
 def delete_edge(g: SignedGraph, edge_id: int) -> SignedGraph:
     """Remove one edge; later edge ids shift down by one, vertices unchanged."""
-    _check_edge_id(g, edge_id)
+    edge_id = _check_edge_id(g, edge_id)
     return _derived(g.num_vertices, g.edges[:edge_id] + g.edges[edge_id + 1 :])
 
 
@@ -231,7 +218,8 @@ def contract_edge(g: SignedGraph, edge_id: int) -> SignedGraph:
     vertices shift down, so the result is deterministic.  Parallel edges
     between the endpoints become loops and keep their signs.
     """
-    e = _check_edge_id(g, edge_id)
+    edge_id = _check_edge_id(g, edge_id)
+    e = g.edges[edge_id]
     if e.is_loop():
         raise ValueError(f"edge {edge_id} is a loop and cannot be contracted")
     if e.sign != 1:
@@ -255,7 +243,8 @@ def make_edge_positive(g: SignedGraph, edge_id: int) -> SignedGraph:
     signature-equivalent to the input.  A negative loop cannot be repaired
     this way since loops lie in no edge-cut.
     """
-    e = _check_edge_id(g, edge_id)
+    edge_id = _check_edge_id(g, edge_id)
+    e = g.edges[edge_id]
     if e.is_loop():
         raise ValueError(f"edge {edge_id} is a loop; its sign is switching-invariant")
     if e.sign == 1:
@@ -315,10 +304,13 @@ def frontier_order(g: SignedGraph) -> list[int]:
     return sorted(range(g.num_edges), key=lambda i: max(rank[g.edges[i].u], rank[g.edges[i].v]))
 
 
-def frontier_walk(g: SignedGraph) -> list[tuple[int, int, int, tuple[int, ...], tuple[int, ...]]]:
+def frontier_walk(
+    g: SignedGraph,
+) -> list[tuple[int, int, int, tuple[tuple[int, int], ...], tuple[int, ...]]]:
     """The edges of ``g`` in :func:`frontier_order`, each with the slots its
     ends hold while open: ``(edge id, slot of u, slot of v, slots opened at
-    this edge, slots freed after it)``.
+    this edge, slots freed after it)``.  Each opened slot comes as ``(slot,
+    position)``, the position in the walk of its vertex's last edge.
 
     A vertex takes a slot at its first edge and frees it after its last; a
     new vertex takes the slot freed most recently, else a new one, so there
@@ -326,7 +318,7 @@ def frontier_walk(g: SignedGraph) -> list[tuple[int, int, int, tuple[int, ...], 
     oracle both follow this one schedule.
 
     >>> frontier_walk(SignedGraph.from_edges(3, [(1, 2, 1), (0, 1, -1), (2, 2, 1)]))
-    [(1, 0, 1, (0, 1), (0,)), (0, 1, 0, (0,), (1,)), (2, 0, 0, (), (0,))]
+    [(1, 0, 1, ((0, 0), (1, 1)), (0,)), (0, 1, 0, ((0, 2),), (1,)), (2, 0, 0, (), (0,))]
     """
     order = frontier_order(g)
     last = [-1] * g.num_vertices
@@ -345,7 +337,7 @@ def frontier_walk(g: SignedGraph) -> list[tuple[int, int, int, tuple[int, ...], 
                 if not free:  # every slot is held: add one
                     free, used = [used], used + 1
                 slot[w] = free.pop()
-                opened.append(slot[w])
+                opened.append((slot[w], last[w]))
         freed = tuple(slot[w] for w in ends if last[w] == pos)
         free.extend(freed)
         walk.append((i, slot[u], slot[v], tuple(opened), freed))

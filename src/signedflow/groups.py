@@ -11,7 +11,7 @@ import operator
 from math import prod
 from typing import Iterable, Iterator
 
-from .values import Value
+from .values import Value, _as_int
 
 GroupElement = tuple[int, ...]
 
@@ -119,6 +119,7 @@ class FiniteAbelianGroup(Value):
         >>> FiniteAbelianGroup((2, 2)).index_table(1, 1)
         [1, 0, 3, 2]
         """
+        shift, scale = _as_int(shift, "shift"), _as_int(scale, "scale")
         if not 0 <= shift < self.order:
             raise ValueError(f"index {shift} out of range for order {self.order}")
         residues = []
@@ -194,8 +195,7 @@ def abelian_groups_of_order(n: int) -> list[FiniteAbelianGroup]:
     >>> [g.moduli for g in abelian_groups_of_order(4)]
     [(4,), (2, 2)]
     """
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
+    n = _as_int(n, "order", least=1)
     per_prime = [
         [tuple(p**part for part in partition) for partition in _partitions(a)]
         for p, a in sorted(_factorize(n).items())
@@ -209,6 +209,7 @@ def abelian_groups_of_order(n: int) -> list[FiniteAbelianGroup]:
 
 def abelian_groups_up_to(max_order: int) -> list[FiniteAbelianGroup]:
     """All abelian groups of order 1..max_order up to isomorphism."""
+    max_order = _as_int(max_order, "max_order")
     return [g for n in range(1, max_order + 1) for g in abelian_groups_of_order(n)]
 
 
@@ -221,7 +222,7 @@ def group_pairs_same_invariants(
     [((9,), (3, 3))]
     """
     pairs = []
-    for n in range(1, max_order + 1):
+    for n in range(1, _as_int(max_order, "max_order") + 1):
         buckets: dict[int, list[FiniteAbelianGroup]] = {}
         for g in abelian_groups_of_order(n):
             buckets.setdefault(g.two_rank, []).append(g)

@@ -16,12 +16,12 @@ from .graph import (
     Edge,
     Orientation,
     SignedGraph,
-    _as_int,
     default_orientation,
     drop_edgeless_vertices,
     frontier_walk,
 )
 from .groups import FiniteAbelianGroup, GroupElement
+from .values import _as_int
 
 DEFAULT_BUDGET = 10**8
 
@@ -86,9 +86,7 @@ def _count_flows(
     states.  Past ``budget`` steps, ``BudgetExceededError`` is raised.  The
     count then only reads the records.
     """
-    budget = _as_int(budget, "budget")
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+    budget = _as_int(budget, "budget", least=0)
     g = drop_edgeless_vertices(g)
     if not g.edges:
         return 1
@@ -211,9 +209,7 @@ def count_integer_nflows(g: SignedGraph, n: int, *, budget: int = DEFAULT_BUDGET
     N = (n-1) * (largest half-edge degree) + 1: every vertex sum s has
     |s| <= (n-1) * (half-edge degree) < N, so s = 0 exactly when s = 0 mod N.
     """
-    n = _as_int(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _as_int(n, "n", least=1)
     half_degree = Counter(w for e in g.edges for w in (e.u, e.v))
     order = (n - 1) * max(half_degree.values(), default=0) + 1
     # -a is order - a for 0 < a < n, as order >= n once there is an edge
@@ -230,7 +226,5 @@ def count_double_sum_solutions(
     These are the nowhere-zero flows on one vertex with t negative loops,
     each of which adds +-2*x_i there.
     """
-    t = _as_int(t, "t")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    t = _as_int(t, "t", least=0)
     return count_group_flows(SignedGraph(1, (Edge(0, 0, -1),) * t), gamma, budget=budget)

@@ -1,4 +1,5 @@
-"""Equality, hashing, repr, immutability and pickling, defined once.
+"""Equality, hashing, repr, immutability and pickling, defined once, and
+the integer check every constructor and entry point makes.
 
 A class lists its fields in ``__slots__`` in the order its constructor
 takes them; that is the one invariant the methods below rely on, since
@@ -6,6 +7,22 @@ they read the slots in that order and ``cls(*values)`` rebuilds the object.
 """
 
 from __future__ import annotations
+
+import operator
+
+
+def _as_int(value, what: str, least: int | None = None) -> int:
+    """``operator.index(value)``; a float or any other non-integer is a
+    ``ValueError``, so no float enters a count, and so is an integer below
+    ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {bound}, got {value}")
+    return value
 
 
 class Record:

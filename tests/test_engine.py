@@ -22,6 +22,7 @@ from signedflow import (
     nonzero_sum_count,
     switch,
 )
+import signedflow.engine as engine
 from signedflow.engine import _flow_poly_at_entry
 from signedflow.oracle import count_double_sum_solutions
 
@@ -101,6 +102,11 @@ class TestNonzeroSumCount:
     def test_negative_s_raises(self):
         with pytest.raises(ValueError):
             nonzero_sum_count(-1)
+
+    @pytest.mark.parametrize("s, order", [(2, 0), (3, -2)])
+    def test_order_below_one_is_refused(self, s, order):
+        with pytest.raises(ValueError, match=f"order must be at least 1, got {order}"):
+            nonzero_sum_count(s, order)
 
     @pytest.mark.parametrize("order", [None, 5])
     def test_float_s_is_refused(self, order):
@@ -217,6 +223,34 @@ def subset_expansion(graph: SignedGraph) -> dict[tuple[int, int], int]:
         key = (k - u, k)
         out[key] = out.get(key, 0) + (-1) ** (m - size)
     return {key: c for key, c in out.items() if c}
+
+
+def check_frontier_states(states, leave) -> None:
+    """Each block is named after the slot of a member of parity 0 that
+    leaves no earlier than any other member, and a block that is
+    unbalanced holds parity 0 at every member."""
+    for s in states:
+        for q, label in enumerate(s):
+            name = label >> 2
+            assert s[name] >> 2 == name and not s[name] & 1
+            assert label & 2 == s[name] & 2
+            assert not (label & 2 and label & 1)
+            assert leave[name] >= leave[q]
+
+
+class TestFrontierStates:
+    def test_blocks_are_named_after_the_member_that_leaves_last(self, monkeypatch):
+        contract = engine._contract
+
+        def checked(states, sa, sb, negative, width, leave):
+            out = contract(states, sa, sb, negative, width, leave)
+            check_frontier_states(states, leave)
+            check_frontier_states(out, leave)
+            return out
+
+        monkeypatch.setattr(engine, "_contract", checked)
+        for graph in acceptance_corpus() + [prism(5, "cycle"), prism(4, "rung")]:
+            _flow_poly_at_entry(graph, None)
 
 
 class TestSubsetExpansion:

@@ -122,6 +122,10 @@ class TestDefaultOrientation:
         with pytest.raises(ValueError):
             reverse_edge(o, 5)
 
+    def test_reverse_edge_refuses_a_float_id(self):
+        with pytest.raises(ValueError, match="edge id must be an integer"):
+            reverse_edge(default_orientation(DIGON_PM), 0.0)
+
 
 class TestSwitch:
     def test_empty_and_full_sets_are_identity(self):
@@ -138,6 +142,10 @@ class TestSwitch:
     def test_invalid_vertex_raises(self):
         with pytest.raises(ValueError):
             switch(NEG_LOOP, {1})
+
+    def test_float_vertex_is_refused(self):
+        with pytest.raises(ValueError, match="vertex must be an integer"):
+            switch(TRIANGLE, [1.0])
 
     def test_involution(self):
         graph = g(3, (0, 1, 1), (1, 2, -1), (0, 2, 1), (1, 1, -1))
@@ -288,6 +296,10 @@ class TestDeleteEdge:
     def test_invalid_id_raises(self):
         with pytest.raises(ValueError):
             delete_edge(NEG_LOOP, 1)
+
+    def test_float_id_is_refused(self):
+        with pytest.raises(ValueError, match="edge id must be an integer"):
+            delete_edge(NEG_LOOP, 0.0)
 
 
 class TestContractEdge:
@@ -460,6 +472,7 @@ class TestFrontierWalk:
                 first.setdefault(w, pos)
                 last[w] = pos
         holder: dict[int, int] = {}  # slot -> the open vertex in it
+        leaves: dict[int, int] = {}  # slot -> the leave position it opened with
         for pos, (i, su, sv, opened, freed) in enumerate(walk):
             u, v, _ = graph.edges[i]
             slot = {u: su, v: sv}
@@ -468,11 +481,13 @@ class TestFrontierWalk:
                     assert slot[w] not in holder
                     holder[slot[w]] = w
                 assert holder[slot[w]] == w
-            assert sorted(opened) == sorted(slot[w] for w in slot if first[w] == pos)
+            assert sorted(opened) == sorted((slot[w], last[w]) for w in slot if first[w] == pos)
+            leaves.update(opened)
             assert sorted(freed) == sorted(slot[w] for w in slot if last[w] == pos)
             for p in freed:
                 del holder[p]
-        assert not holder
+                assert leaves.pop(p) == pos  # freed right after the position it opened with
+        assert not holder and not leaves
         used = {p for _, su, sv, _, _ in walk for p in (su, sv)}
         assert used == set(range(open_vertex_peak(graph, order)))
 

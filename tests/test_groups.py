@@ -122,6 +122,11 @@ class TestIndexTable:
         with pytest.raises(ValueError):
             FiniteAbelianGroup((4, 2)).index_table(8, 1)
 
+    @pytest.mark.parametrize("shift, scale", [(1.0, 1), (1, 1.0)])
+    def test_float_arguments_are_refused(self, shift, scale):
+        with pytest.raises(ValueError, match="must be an integer"):
+            FiniteAbelianGroup((4,)).index_table(shift, scale)
+
 
 class TestEnumeration:
     def test_z2(self):
@@ -166,6 +171,16 @@ class TestGroupsOfOrder:
     def test_invalid_order_raises(self):
         with pytest.raises(ValueError):
             abelian_groups_of_order(0)
+
+    def test_float_order_is_refused(self):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            abelian_groups_of_order(4.0)
+
+    @pytest.mark.parametrize("up_to, max_order", [(abelian_groups_up_to, 8.0),
+                                                  (group_pairs_same_invariants, 9.0)])
+    def test_float_max_order_is_refused(self, up_to, max_order):
+        with pytest.raises(ValueError, match="max_order must be an integer"):
+            up_to(max_order)
 
 
 class TestPairsSameInvariants:
