@@ -4,7 +4,7 @@ Reports are printed either as human-readable lines or, with --json, as a
 deterministic JSON document (sorted keys, exact decimal integers only).
 
 Exit codes: 0 success / all-pass, 1 verification mismatch, 2 input error,
-3 search budget exceeded, 4 internal error.
+3 search budget exceeded, 4 internal error or a report that cannot be written.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from . import engine, oracle
 from .graph import SignedGraph, graph_to_text, parse_graph_text, signatures_equivalent, switch
 from .groups import FiniteAbelianGroup, abelian_groups_up_to, group_pairs_same_invariants, parse_group_spec
 from .polynomial import Poly
-from .values import _as_int
+from .values import _as_int, _int_text
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -39,13 +39,16 @@ def _load_graph(path: str) -> SignedGraph:
 
 
 def _parse_vertex_list(text: str) -> set[int]:
-    s = text.strip()
-    if not s:
-        return set()
+    tokens = text.split(",") if text.strip() else []
+    return {_int_text(tok.strip(), "vertex") for tok in tokens}
+
+
+def _int_option(text: str) -> int:
+    """An option's integer, read as the integers of a graph file are."""
     try:
-        return {int(tok.strip()) for tok in s.split(",")}
-    except ValueError:
-        raise ValueError(f"vertex list {text!r} is not a comma-separated list of integers") from None
+        return _int_text(text, "value")
+    except ValueError as exc:  # argparse words a ValueError its own way
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _coeff_json(c) -> int | str:
@@ -201,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--graph", required=True, help="graph file (vertices/edge lines)")
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
         if budget:
-            sp.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
+            sp.add_argument("--budget", type=_int_option, default=oracle.DEFAULT_BUDGET,
                             help="most transfer-matrix steps a count may take")
 
     sp = sub.add_parser("count", help="count nowhere-zero flows over one group")
@@ -210,11 +213,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("poly", help="flow polynomials f_0..f_dmax")
     common(sp)
-    sp.add_argument("--d-max", type=int, default=2, dest="d_max")
+    sp.add_argument("--d-max", type=_int_option, default=2, dest="d_max")
 
     sp = sub.add_parser("verify", help="check polynomials against brute force on all groups")
     common(sp, budget=True)
-    sp.add_argument("--max-order", type=int, default=8, dest="max_order")
+    sp.add_argument("--max-order", type=_int_option, default=8, dest="max_order")
 
     sp = sub.add_parser("equiv", help="test signature equivalence of two graphs")
     common(sp)
@@ -227,16 +230,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("intflow", help="integer nowhere-zero n-flow counts")
     common(sp, budget=True)
-    sp.add_argument("--n-max", type=int, default=8, dest="n_max")
+    sp.add_argument("--n-max", type=_int_option, default=8, dest="n_max")
     sp.add_argument("--fit", action="store_true",
                     help="fit per-parity polynomials to the counts")
 
     return parser
 
 
-def _print_report(command: str, inputs: dict, results: dict, status: str,
-                  as_json: bool, human: list[str], message: str | None = None) -> None:
+def _print_report(command: str, inputs: dict, results: dict, as_json: bool,
+                  human: list[str], message: str | None) -> None:
+    """Print the report and flush it; a message makes it an error report."""
     if as_json:
+        status = "ok" if message is None else "error"
         report = {"command": command, "inputs": inputs, "results": results, "status": status}
         if message is not None:
             report["message"] = message
@@ -246,26 +251,31 @@ def _print_report(command: str, inputs: dict, results: dict, status: str,
             print(line)
         if message is not None:
             print(f"error: {message}", file=sys.stderr)
+    sys.stdout.flush()
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     inputs = _inputs_of(args)
+    results, human, message = {}, [], None
     try:
         results, human, code = _HANDLERS[args.command](args)
     except oracle.BudgetExceededError as exc:
-        _print_report(args.command, inputs, {}, "error", args.json, [], str(exc))
-        return EXIT_BUDGET
+        message, code = str(exc), EXIT_BUDGET
     except ValueError as exc:
-        _print_report(args.command, inputs, {}, "error", args.json, [], str(exc))
-        return EXIT_INPUT
+        message, code = str(exc), EXIT_INPUT
     except Exception as exc:
         # anything else is a fault of the program: report it in one line,
         # never as a traceback or as the mismatch code
-        message = f"internal error: {type(exc).__name__}: {exc}"
-        _print_report(args.command, inputs, {}, "error", args.json, [], message)
+        message, code = f"internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL
+    try:
+        _print_report(args.command, inputs, results, args.json, human, message)
+    except OSError as exc:  # a closed pipe or a full disk
+        try:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        except OSError:
+            pass
         return EXIT_INTERNAL
-    _print_report(args.command, inputs, results, "ok", args.json, human)
     return code
 
 

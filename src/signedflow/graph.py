@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .values import Value, _as_int
+from .values import Value, _as_int, _int_text
 
 
 class Edge(NamedTuple):
@@ -42,10 +42,9 @@ class SignedGraph(Value):
         checked = []
         for i, e in enumerate(edges):
             u, v, sign = e
-            edge = Edge(_as_int(u, f"edge {i} endpoint"), _as_int(v, f"edge {i} endpoint"),
+            end = f"edge {i} endpoint"
+            edge = Edge(_as_int(u, end, below=n), _as_int(v, end, below=n),
                         _as_int(sign, f"edge {i} sign"))
-            if not (0 <= edge.u < n and 0 <= edge.v < n):
-                raise ValueError(f"edge {i} has endpoint outside 0..{n - 1}: {edge}")
             if edge.sign not in (1, -1):
                 raise ValueError(f"edge {i} has sign {edge.sign!r}, expected +1 or -1")
             checked.append(edge)
@@ -102,9 +101,7 @@ def default_orientation(g: SignedGraph) -> Orientation:
 
 def reverse_edge(o: Orientation, edge_id: int) -> Orientation:
     """Negate both tau values of one edge; validity is preserved."""
-    edge_id = _as_int(edge_id, "edge id")
-    if not 0 <= edge_id < len(o.taus):
-        raise ValueError(f"no edge with id {edge_id}")
+    edge_id = _as_int(edge_id, "edge id", below=len(o.taus))
     taus = list(o.taus)
     t0, t1 = taus[edge_id]
     taus[edge_id] = (-t0, -t1)
@@ -122,10 +119,7 @@ def _derived(num_vertices: int, edges: tuple[Edge, ...]) -> SignedGraph:
 
 
 def _check_edge_id(g: SignedGraph, edge_id: int) -> int:
-    edge_id = _as_int(edge_id, "edge id")
-    if not 0 <= edge_id < g.num_edges:
-        raise ValueError(f"no edge with id {edge_id} (graph has {g.num_edges} edges)")
-    return edge_id
+    return _as_int(edge_id, "edge id", below=g.num_edges)
 
 
 def _check_edge_ids(g: SignedGraph, ids: Iterable[int]) -> frozenset[int]:
@@ -137,10 +131,7 @@ def switch(g: SignedGraph, x: Iterable[int]) -> SignedGraph:
 
     Loops lie in no edge-cut and are never affected.
     """
-    xs = frozenset(_as_int(v, "vertex") for v in x)
-    for v in xs:
-        if not 0 <= v < g.num_vertices:
-            raise ValueError(f"vertex {v} out of range 0..{g.num_vertices - 1}")
+    xs = frozenset(_as_int(v, "vertex", below=g.num_vertices) for v in x)
     edges = tuple(
         Edge(e.u, e.v, -e.sign if (e.u in xs) != (e.v in xs) else e.sign)
         for e in g.edges
@@ -388,7 +379,8 @@ def parse_graph_text(text: str) -> SignedGraph:
 
     Line 1 (ignoring blanks and ``#`` comments) is ``vertices N``; each
     following line is ``edge u v +`` or ``edge u v -`` with 0-based vertex
-    indices.  Edge ids are assigned in file order.
+    indices.  N, u and v are ASCII decimal digits (see ``values._int_text``).
+    Edge ids are assigned in file order.  A refusal of a line names it.
     """
     num_vertices: int | None = None
     triples: list[tuple[int, int, int]] = []
@@ -397,25 +389,20 @@ def parse_graph_text(text: str) -> SignedGraph:
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if num_vertices is None:
-            if len(fields) != 2 or fields[0] != "vertices":
-                raise ValueError(f"line {lineno}: expected 'vertices N', got {line!r}")
-            try:
-                num_vertices = int(fields[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: vertex count {fields[1]!r} is not an integer") from None
-            if num_vertices < 0:
-                raise ValueError(f"line {lineno}: vertex count must be nonnegative")
-            continue
-        if len(fields) != 4 or fields[0] != "edge":
-            raise ValueError(f"line {lineno}: expected 'edge u v <+|->', got {line!r}")
         try:
-            u, v = int(fields[1]), int(fields[2])
-        except ValueError:
-            raise ValueError(f"line {lineno}: endpoints must be integers") from None
-        if fields[3] not in ("+", "-"):
-            raise ValueError(f"line {lineno}: sign must be '+' or '-', got {fields[3]!r}")
-        triples.append((u, v, 1 if fields[3] == "+" else -1))
+            if num_vertices is None:
+                if len(fields) != 2 or fields[0] != "vertices":
+                    raise ValueError(f"expected 'vertices N', got {line!r}")
+                num_vertices = _int_text(fields[1], "vertex count", least=0)
+                continue
+            if len(fields) != 4 or fields[0] != "edge":
+                raise ValueError(f"expected 'edge u v <+|->', got {line!r}")
+            if fields[3] not in ("+", "-"):
+                raise ValueError(f"sign must be '+' or '-', got {fields[3]!r}")
+            triples.append((_int_text(fields[1], "endpoint"), _int_text(fields[2], "endpoint"),
+                            1 if fields[3] == "+" else -1))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if num_vertices is None:
         raise ValueError("missing 'vertices N' line")
     return SignedGraph.from_edges(num_vertices, triples)

@@ -7,23 +7,12 @@ and immutable.
 from __future__ import annotations
 
 import itertools
-import operator
 from math import prod
 from typing import Iterable, Iterator
 
-from .values import Value, _as_int
+from .values import Value, _as_int, _int_text
 
 GroupElement = tuple[int, ...]
-
-
-def _modulus(m) -> int:
-    try:
-        m = operator.index(m)  # a float such as 4.7 is refused, not truncated
-    except TypeError:
-        raise ValueError(f"modulus {m!r} is not an integer") from None
-    if m < 1:
-        raise ValueError(f"modulus {m} is not a positive integer")
-    return m
 
 
 class FiniteAbelianGroup(Value):
@@ -45,7 +34,7 @@ class FiniteAbelianGroup(Value):
     __slots__ = ("moduli",)
 
     def __init__(self, moduli: Iterable[int]) -> None:
-        object.__setattr__(self, "moduli", tuple(map(_modulus, moduli)))
+        object.__setattr__(self, "moduli", tuple(_as_int(m, "modulus", least=1) for m in moduli))
 
     @property
     def order(self) -> int:
@@ -61,12 +50,10 @@ class FiniteAbelianGroup(Value):
         return sum(1 for m in self.moduli if m % 2 == 0)
 
     def _check(self, a: GroupElement) -> GroupElement:
+        """``a`` with each residue an int in 0..m-1 for its modulus m."""
         if len(a) != len(self.moduli):
             raise ValueError(f"element {a} has {len(a)} components, expected {len(self.moduli)}")
-        for r, m in zip(a, self.moduli):
-            if not 0 <= r < m:
-                raise ValueError(f"residue {r} out of range for modulus {m}")
-        return a
+        return tuple(_as_int(r, "residue", below=m) for r, m in zip(a, self.moduli))
 
     def zero(self) -> GroupElement:
         return (0,) * len(self.moduli)
@@ -75,11 +62,11 @@ class FiniteAbelianGroup(Value):
         return not any(self._check(a))
 
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        self._check(a), self._check(b)
+        a, b = self._check(a), self._check(b)
         return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
 
     def negate(self, a: GroupElement) -> GroupElement:
-        self._check(a)
+        a = self._check(a)
         return tuple((-x) % m for x, m in zip(a, self.moduli))
 
     def double(self, a: GroupElement) -> GroupElement:
@@ -100,7 +87,7 @@ class FiniteAbelianGroup(Value):
 
     def index_of(self, a: GroupElement) -> int:
         """Position of ``a`` in ``elements()`` (mixed-radix value); zero maps to 0."""
-        self._check(a)
+        a = self._check(a)
         i = 0
         for r, m in zip(a, self.moduli):
             i = i * m + r
@@ -119,9 +106,7 @@ class FiniteAbelianGroup(Value):
         >>> FiniteAbelianGroup((2, 2)).index_table(1, 1)
         [1, 0, 3, 2]
         """
-        shift, scale = _as_int(shift, "shift"), _as_int(scale, "scale")
-        if not 0 <= shift < self.order:
-            raise ValueError(f"index {shift} out of range for order {self.order}")
+        shift, scale = _as_int(shift, "shift", below=self.order), _as_int(scale, "scale")
         residues = []
         for m in reversed(self.moduli):
             shift, r = divmod(shift, m)
@@ -146,22 +131,12 @@ class FiniteAbelianGroup(Value):
 
 def parse_group_spec(spec: str) -> FiniteAbelianGroup:
     """Parse ``"4,2"`` into Z4 x Z2; the empty string is the trivial group."""
-    s = spec.strip()
-    if not s:
-        return FiniteAbelianGroup(())
-    try:
-        moduli = tuple(int(tok.strip()) for tok in s.split(","))
-    except ValueError:
-        raise ValueError(f"group spec {spec!r} is not a comma-separated list of integers") from None
-    return FiniteAbelianGroup(moduli)
+    tokens = spec.split(",") if spec.strip() else []
+    return FiniteAbelianGroup(_int_text(tok.strip(), "modulus") for tok in tokens)
 
 
 def _partitions(k: int) -> Iterator[tuple[int, ...]]:
     """Integer partitions of k with parts in non-increasing order."""
-    if k == 0:
-        yield ()
-        return
-
     def rec(rest: int, cap: int) -> Iterator[tuple[int, ...]]:
         if rest == 0:
             yield ()
@@ -221,11 +196,7 @@ def group_pairs_same_invariants(
     >>> [(a.moduli, b.moduli) for a, b in group_pairs_same_invariants(9)]
     [((9,), (3, 3))]
     """
-    pairs = []
-    for n in range(1, _as_int(max_order, "max_order") + 1):
-        buckets: dict[int, list[FiniteAbelianGroup]] = {}
-        for g in abelian_groups_of_order(n):
-            buckets.setdefault(g.two_rank, []).append(g)
-        for d in sorted(buckets):
-            pairs.extend(itertools.combinations(buckets[d], 2))
-    return pairs
+    buckets: dict[tuple[int, int], list[FiniteAbelianGroup]] = {}
+    for g in abelian_groups_up_to(max_order):
+        buckets.setdefault((g.order, g.two_rank), []).append(g)
+    return [pair for key in sorted(buckets) for pair in itertools.combinations(buckets[key], 2)]

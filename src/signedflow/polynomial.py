@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Union
 
-from .values import Value
+from .values import Value, _as_int
 
 # fractions (and the decimal module it loads) is imported only where a
 # rational value can occur, so an all-integer run never loads it
@@ -85,10 +85,8 @@ class Poly(Value):
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> Poly:
-        if k < 0:
-            raise ValueError("negative power")
         out = Poly((1,))
-        for _ in range(k):
+        for _ in range(_as_int(k, "power", least=0)):
             out = out * self
         return out
 

@@ -1,5 +1,5 @@
 """Equality, hashing, repr, immutability and pickling, defined once, and
-the integer check every constructor and entry point makes.
+the integer check every constructor, entry point and text reader makes.
 
 A class lists its fields in ``__slots__`` in the order its constructor
 takes them; that is the one invariant the methods below rely on, since
@@ -11,18 +11,30 @@ from __future__ import annotations
 import operator
 
 
-def _as_int(value, what: str, least: int | None = None) -> int:
+def _as_int(value, what: str, least: int | None = None, below: int | None = None) -> int:
     """``operator.index(value)``; a float or any other non-integer is a
     ``ValueError``, so no float enters a count, and so is an integer below
-    ``least``."""
+    ``least`` or, when ``below`` is given, outside ``0..below - 1``."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if below is not None and not 0 <= value < below:
+        raise ValueError(f"{what} must be in 0..{below - 1}, got {value}")
     if least is not None and value < least:
         bound = "nonnegative" if least == 0 else f"at least {least}"
         raise ValueError(f"{what} must be {bound}, got {value}")
     return value
+
+
+def _int_text(text: str, what: str, least: int | None = None) -> int:
+    """The integer written in ``text``: ASCII decimal digits after at most
+    one sign, then checked as :func:`_as_int` checks it.  Anything else,
+    such as ``1_0``, a full-width digit or a blank, is a ``ValueError``."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{what} must be an integer, got {text!r}")
+    return _as_int(int(text), what, least)
 
 
 class Record:

@@ -1,4 +1,9 @@
+import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +99,26 @@ class TestCount:
         )
         assert code == 2
         assert json.loads(out)["message"] == "budget must be nonnegative, got -5"
+
+
+    @pytest.mark.parametrize("spec", ["1_1", "\uff13"])
+    def test_group_spec_is_ascii_digits(self, capsys, write_graph, spec):
+        code, out = run_cli(
+            capsys, "count", "--graph", write_graph(NEG_LOOP), "--group", spec, "--json"
+        )
+        assert code == 2
+        assert json.loads(out)["message"] == f"modulus must be an integer, got {spec!r}"
+
+
+@pytest.mark.parametrize("command, option", [("count", "--budget"), ("poly", "--d-max"),
+                                             ("verify", "--max-order"), ("intflow", "--n-max")])
+@pytest.mark.parametrize("value", ["1_000", "\uff12", " 2", "2.0"])
+def test_integer_options_are_ascii_digits(capsys, write_graph, command, option, value):
+    extra = ["--group", "3"] if command == "count" else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--graph", write_graph(NEG_LOOP), *extra, option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}: value must be an integer, got {value!r}" in capsys.readouterr().err
 
 
 class TestPoly:
@@ -222,6 +247,50 @@ class TestInternalError:
         assert report["message"].startswith("internal error: RecursionError")
 
 
+class _Unwritable:
+    """A stdout whose every write raises ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        pass
+
+
+class TestUnwritableReport:
+    @pytest.mark.parametrize("error", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                                       OSError(errno.ENOSPC, "No space left on device")])
+    @pytest.mark.parametrize("as_json", [[], ["--json"]])
+    def test_exits_four_with_one_error_line(self, capsys, write_graph, monkeypatch, error, as_json):
+        path = write_graph(NEG_LOOP)
+        monkeypatch.setattr("sys.stdout", _Unwritable(error))
+        assert cli.main(["poly", "--graph", path, *as_json]) == 4
+        assert capsys.readouterr().err == f"error: cannot write the report: {error}\n"
+
+    def test_a_closed_pipe_gives_one_line_and_no_shutdown_error(self, write_graph):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = Path(cli.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "signedflow.cli", "count", "--graph", write_graph(NEG_LOOP),
+             "--group", "2,2", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        os.close(write_end)
+        assert proc.returncode == 4
+        assert proc.stderr == "error: cannot write the report: [Errno 32] Broken pipe\n"
+
+    def test_an_unwritable_stderr_too_still_exits_four(self, write_graph, monkeypatch):
+        path = write_graph(NEG_LOOP)
+        monkeypatch.setattr("sys.stdout", _Unwritable(BrokenPipeError(errno.EPIPE, "Broken pipe")))
+        monkeypatch.setattr("sys.stderr", _Unwritable(BrokenPipeError(errno.EPIPE, "Broken pipe")))
+        assert cli.main(["poly", "--graph", path]) == 4
+
+
 class TestEquivAndSwitch:
     def test_graph_is_equivalent_to_itself(self, capsys, write_graph):
         path = write_graph(TRIANGLE)
@@ -262,6 +331,20 @@ class TestEquivAndSwitch:
         code, out = run_cli(capsys, "equiv", "--graph", path, "--other", str(other))
         assert code == 0
         assert "equivalent: yes" in out
+
+    def test_vertex_list_is_ascii_digits(self, capsys, write_graph):
+        code, out = run_cli(
+            capsys, "switch", "--graph", write_graph(g(11)), "--vertices", "0,1_0", "--json"
+        )
+        assert code == 2
+        assert json.loads(out)["message"] == "vertex must be an integer, got '1_0'"
+
+    def test_vertex_out_of_range_names_the_range(self, capsys, write_graph):
+        code, out = run_cli(
+            capsys, "switch", "--graph", write_graph(TRIANGLE), "--vertices", "3", "--json"
+        )
+        assert code == 2
+        assert json.loads(out)["message"] == "vertex must be in 0..2, got 3"
 
     def test_empty_vertex_list_is_identity(self, capsys, write_graph):
         code, text = run_cli(

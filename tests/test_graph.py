@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -514,9 +515,10 @@ def test_rewrites_give_graphs_the_constructor_accepts(graph):
 
 
 class TestTextFormat:
-    def test_round_trip_all_zoo_graphs(self):
-        for graph in ZOO:
-            assert parse_graph_text(graph_to_text(graph)) == graph
+    @given(signed_graphs(max_vertices=10**12, max_edges=6))
+    @settings(max_examples=200)
+    def test_round_trip(self, graph):
+        assert parse_graph_text(graph_to_text(graph)) == graph
 
     def test_comments_and_blanks_are_ignored(self):
         text = "# a loop\n\nvertices 1\n  # inline comment line\nedge 0 0 -\n"
@@ -542,6 +544,26 @@ class TestTextFormat:
     def test_bad_inputs_raise(self, text):
         with pytest.raises(ValueError):
             parse_graph_text(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("vertices 1_0\n", "line 1: vertex count must be an integer, got '1_0'"),
+            ("vertices \uff19\n", "line 1: vertex count must be an integer, got '\uff19'"),
+            ("vertices +-1\n", "line 1: vertex count must be an integer, got '+-1'"),
+            ("vertices -1\n", "line 1: vertex count must be nonnegative, got -1"),
+            ("vertices 10\n# nine\nedge 0 \uff19 +\n",
+             "line 3: endpoint must be an integer, got '\uff19'"),
+            ("vertices 10\nedge 1_0 0 +\n", "line 2: endpoint must be an integer, got '1_0'"),
+            ("vertices 2\nedge 0 5 +\n", "edge 0 endpoint must be in 0..1, got 5"),
+        ],
+    )
+    def test_integers_are_ascii_decimal_digits(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_graph_text(text)
+
+    def test_a_sign_before_the_digits_is_read(self):
+        assert parse_graph_text("vertices +2\nedge -0 +1 +\n") == g(2, (0, 1, 1))
 
     def test_fingerprint_distinguishes_signs(self):
         assert graph_fingerprint(POS_LOOP) != graph_fingerprint(NEG_LOOP)

@@ -21,7 +21,7 @@ def test_doctests():
 class TestConstruction:
     @pytest.mark.parametrize("bad", [4.7, 4.0, "4"])
     def test_rejects_non_integer_modulus(self, bad):
-        with pytest.raises(ValueError, match="is not an integer"):
+        with pytest.raises(ValueError, match="modulus must be an integer, got"):
             FiniteAbelianGroup((bad,))
 
 
@@ -55,6 +55,20 @@ class TestArithmetic:
             g.add((1, 2), (0, 0))
         with pytest.raises(ValueError):
             g.negate((4, 0))
+
+    @pytest.mark.parametrize("call", [
+        lambda g: g.add((1.0,), (2,)),
+        lambda g: g.add((1,), (2.0,)),
+        lambda g: g.negate((1.5,)),
+        lambda g: g.index_of((1.0,)),
+    ])
+    def test_float_residues_are_refused(self, call):
+        with pytest.raises(ValueError, match="residue must be an integer, got"):
+            call(FiniteAbelianGroup((4,)))
+
+    def test_residue_out_of_range_names_the_range(self):
+        with pytest.raises(ValueError, match="residue must be in 0..3, got 4"):
+            FiniteAbelianGroup((4,)).negate((4,))
 
     def test_bad_modulus_raises(self):
         with pytest.raises(ValueError):
@@ -226,6 +240,11 @@ class TestSpecStrings:
     def test_bad_specs_raise(self, bad):
         with pytest.raises(ValueError):
             parse_group_spec(bad)
+
+    @pytest.mark.parametrize("spec", ["1_1", "\uff13", "4,1_0"])
+    def test_moduli_are_ascii_digits(self, spec):
+        with pytest.raises(ValueError, match="modulus must be an integer, got '"):
+            parse_group_spec(spec)
 
     def test_labels(self):
         assert FiniteAbelianGroup((4, 2)).label() == "Z4 x Z2"

@@ -93,6 +93,11 @@ class TestVerifyFlow:
         with pytest.raises(ValueError, match="does not fit the graph's edges and signs"):
             verify_flow(DIGON_PP, Orientation(((1, 1), (1, 1))), Z3, {0: (1,), 1: (2,)})
 
+    def test_float_residues_are_refused(self):
+        tau = default_orientation(TRIANGLE)
+        with pytest.raises(ValueError, match="residue must be an integer, got 1.0"):
+            verify_flow(TRIANGLE, tau, Z5, {0: (1.0,), 1: (4,), 2: (1,)})
+
 
 class TestCountGroupFlows:
     def test_negative_loop_counts_involutions(self):

@@ -41,6 +41,12 @@ class TestArithmetic:
         assert (Poly((0, 1)) ** 3).coeff_list() == [0, 0, 0, 1]
         assert (Poly((2,)) ** 0) == Poly((1,))
 
+    @pytest.mark.parametrize("k, message", [(2.0, "power must be an integer, got 2.0"),
+                                            (-1, "power must be nonnegative, got -1")])
+    def test_power_refuses_a_float_or_negative_exponent(self, k, message):
+        with pytest.raises(ValueError, match=message):
+            Poly((1, 1)) ** k
+
     def test_degree(self):
         assert Poly(()).degree == -1
         assert Poly((7,)).degree == 0
