@@ -3,13 +3,17 @@
 Reports are printed either as human-readable lines or, with --json, as a
 deterministic JSON document (sorted keys, exact decimal integers only).
 
+Options are read by one table, ``_OPTIONS``, rather than by argparse,
+whose import and parser building took about 4 ms of every command's
+start-up; a refusal is then an input error like any other, and a JSON
+report under --json.
+
 Exit codes: 0 success / all-pass, 1 verification mismatch, 2 input error,
 3 search budget exceeded, 4 internal error or a report that cannot be written.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -43,14 +47,6 @@ def _parse_vertex_list(text: str) -> set[int]:
     return {_int_text(tok.strip(), "vertex") for tok in tokens}
 
 
-def _int_option(text: str) -> int:
-    """An option's integer, read as the integers of a graph file are."""
-    try:
-        return _int_text(text, "value")
-    except ValueError as exc:  # argparse words a ValueError its own way
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _coeff_json(c) -> int | str:
     if isinstance(c, int):
         return c
@@ -65,18 +61,14 @@ def _poly_json(p: Poly) -> dict:
     return {"coeffs": [_coeff_json(c) for c in p.coeff_list()], "text": str(p)}
 
 
-def _inputs_of(args: argparse.Namespace) -> dict:
-    return {k: v for k, v in vars(args).items() if k not in ("command", "json") and v is not None}
-
-
 def _group_json(g: FiniteAbelianGroup) -> dict:
     return {"spec": g.spec(), "label": g.label(), "order": g.order, "two_rank": g.two_rank}
 
 
 def _cmd_count(args) -> tuple[dict, list[str], int]:
-    g = _load_graph(args.graph)
-    gamma = parse_group_spec(args.group)
-    n = oracle.count_group_flows(g, gamma, budget=args.budget)
+    g = _load_graph(args["graph"])
+    gamma = parse_group_spec(args["group"])
+    n = oracle.count_group_flows(g, gamma, budget=args["budget"])
     results = {"count": n, "group": _group_json(gamma),
                "num_vertices": g.num_vertices, "num_edges": g.num_edges}
     human = [
@@ -88,11 +80,11 @@ def _cmd_count(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_poly(args) -> tuple[dict, list[str], int]:
-    g = _load_graph(args.graph)
-    _as_int(args.d_max, "d-max", least=0)
-    family = engine.flow_polynomial_family(g, args.d_max, cache={})
+    g = _load_graph(args["graph"])
+    _as_int(args["d_max"], "d-max", least=0)
+    family = engine.flow_polynomial_family(g, args["d_max"], cache={})
     polys = [{"d": d, **_poly_json(p)} for d, p in sorted(family.entries.items())]
-    results = {"d_max": args.d_max, "polynomials": polys,
+    results = {"d_max": args["d_max"], "polynomials": polys,
                "graph_fingerprint": family.graph_fingerprint}
     human = [f"graph: {g.num_vertices} vertices, {g.num_edges} edges"]
     for entry in polys:
@@ -101,10 +93,10 @@ def _cmd_poly(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_verify(args) -> tuple[dict, list[str], int]:
-    g = _load_graph(args.graph)
-    _as_int(args.max_order, "max-order", least=1)
-    gammas = abelian_groups_up_to(args.max_order)
-    family = engine.flow_polynomial_family(g, max(gamma.two_rank for gamma in gammas), cache={})
+    g = _load_graph(args["graph"])
+    _as_int(args["max_order"], "max-order", least=1)
+    gammas = abelian_groups_up_to(args["max_order"])
+    cache: dict = {}  # one F(q, n) gives every f_d
     group_rows = []
     human = []
     all_pass = True
@@ -112,8 +104,8 @@ def _cmd_verify(args) -> tuple[dict, list[str], int]:
     for gamma in gammas:
         d = gamma.two_rank
         n = gamma.order // 2**d
-        expected = family.entries[d](n)
-        actual = counts[gamma] = oracle.count_group_flows(g, gamma, budget=args.budget)
+        expected = engine.flow_polynomial(g, d, cache=cache)(n)
+        actual = counts[gamma] = oracle.count_group_flows(g, gamma, budget=args["budget"])
         ok = expected == actual
         all_pass = all_pass and ok
         group_rows.append({"group": _group_json(gamma), "n": n,
@@ -124,7 +116,7 @@ def _cmd_verify(args) -> tuple[dict, list[str], int]:
             f"oracle={actual} poly={expected} {'PASS' if ok else 'FAIL'}"
         )
     pair_rows = []
-    for left, right in group_pairs_same_invariants(args.max_order):
+    for left, right in group_pairs_same_invariants(args["max_order"]):
         # every group of a pair has order <= max_order, so it was counted above
         cl, cr = counts[left], counts[right]
         ok = cl == cr
@@ -144,8 +136,8 @@ def _cmd_verify(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_equiv(args) -> tuple[dict, list[str], int]:
-    g1 = _load_graph(args.graph)
-    g2 = _load_graph(args.other)
+    g1 = _load_graph(args["graph"])
+    g2 = _load_graph(args["other"])
     verdict = signatures_equivalent(g1, g2)
     results = {"equivalent": verdict}
     human = [f"equivalent: {'yes' if verdict else 'no'}"]
@@ -153,8 +145,8 @@ def _cmd_equiv(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_switch(args) -> tuple[dict, list[str], int]:
-    g = _load_graph(args.graph)
-    xs = _parse_vertex_list(args.vertices)
+    g = _load_graph(args["graph"])
+    xs = _parse_vertex_list(args["vertices"])
     out = switch(g, xs)
     text = graph_to_text(out)
     results = {"graph_text": text, "switched_at": sorted(xs)}
@@ -163,13 +155,13 @@ def _cmd_switch(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_intflow(args) -> tuple[dict, list[str], int]:
-    g = _load_graph(args.graph)
-    _as_int(args.n_max, "n-max", least=1)
-    counts = [(n, oracle.count_integer_nflows(g, n, budget=args.budget))
-              for n in range(1, args.n_max + 1)]
+    g = _load_graph(args["graph"])
+    _as_int(args["n_max"], "n-max", least=1)
+    counts = [(n, oracle.count_integer_nflows(g, n, budget=args["budget"]))
+              for n in range(1, args["n_max"] + 1)]
     results: dict = {"counts": [{"n": n, "count": c} for n, c in counts]}
     human = [f"n={n}: {c}" for n, c in counts]
-    if args.fit:
+    if args["fit"]:
         fit = engine.fit_quasipolynomial(counts)
         results["fit"] = {
             "p_even": _poly_json(fit.p_even),
@@ -193,48 +185,62 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="signedflow",
-        description="Count nowhere-zero flows on signed graphs over finite abelian groups.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's options: name -> (dest, reader, default).  The reader is
+# None for text, _int_text for an integer and bool for a flag, which takes no
+# value; a default of None marks a required option.  The parsed options,
+# without json, are the report's "inputs".
+_COMMON = {"--graph": ("graph", None, None), "--json": ("json", bool, False)}
+_BUDGET = {"--budget": ("budget", _int_text, oracle.DEFAULT_BUDGET)}
+_OPTIONS = {
+    "count": {**_COMMON, **_BUDGET, "--group": ("group", None, None)},
+    "poly": {**_COMMON, "--d-max": ("d_max", _int_text, 2)},
+    "verify": {**_COMMON, **_BUDGET, "--max-order": ("max_order", _int_text, 8)},
+    "equiv": {**_COMMON, "--other": ("other", None, None)},
+    "switch": {**_COMMON, "--vertices": ("vertices", None, None)},
+    "intflow": {**_COMMON, **_BUDGET, "--n-max": ("n_max", _int_text, 8),
+                "--fit": ("fit", bool, False)},
+}
 
-    def common(sp, budget=False):
-        sp.add_argument("--graph", required=True, help="graph file (vertices/edge lines)")
-        sp.add_argument("--json", action="store_true", help="emit a JSON report")
-        if budget:
-            sp.add_argument("--budget", type=_int_option, default=oracle.DEFAULT_BUDGET,
-                            help="most transfer-matrix steps a count may take")
 
-    sp = sub.add_parser("count", help="count nowhere-zero flows over one group")
-    common(sp, budget=True)
-    sp.add_argument("--group", required=True, help="comma-separated moduli, e.g. 4,2")
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """The command and its options, read by ``_OPTIONS``.  An option is
+    ``--name value`` or ``--name=value``, the last of a repeated option
+    wins, and names are exact.  Every refusal is a ``ValueError``."""
+    command = argv[0] if argv else ""
+    table = _OPTIONS.get(command)
+    if table is None:
+        raise ValueError(f"command must be one of {', '.join(_OPTIONS)}, got {command!r}")
+    opts = {dest: default for dest, _, default in table.values()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if name not in table:
+            raise ValueError(f"{command} has no option {name!r}")
+        dest, reader, _ = table[name]
+        if reader is bool:
+            if eq:
+                raise ValueError(f"{name} takes no value")
+            opts[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ValueError(f"{name} needs a value")
+        opts[dest] = value if reader is None else reader(value, name[2:])
+    missing = [name for name, (dest, _, _) in table.items() if opts[dest] is None]
+    if missing:
+        raise ValueError(f"{command} needs {' and '.join(missing)}")
+    return command, opts
 
-    sp = sub.add_parser("poly", help="flow polynomials f_0..f_dmax")
-    common(sp)
-    sp.add_argument("--d-max", type=_int_option, default=2, dest="d_max")
 
-    sp = sub.add_parser("verify", help="check polynomials against brute force on all groups")
-    common(sp, budget=True)
-    sp.add_argument("--max-order", type=_int_option, default=8, dest="max_order")
-
-    sp = sub.add_parser("equiv", help="test signature equivalence of two graphs")
-    common(sp)
-    sp.add_argument("--other", required=True, help="second graph file")
-
-    sp = sub.add_parser("switch", help="negate signs across the cut at a vertex set")
-    common(sp)
-    sp.add_argument("--vertices", required=True,
-                    help="comma-separated vertex indices (may be empty)")
-
-    sp = sub.add_parser("intflow", help="integer nowhere-zero n-flow counts")
-    common(sp, budget=True)
-    sp.add_argument("--n-max", type=_int_option, default=8, dest="n_max")
-    sp.add_argument("--fit", action="store_true",
-                    help="fit per-parity polynomials to the counts")
-
-    return parser
+def _usage() -> str:
+    """What --help prints: one line per command, built from ``_OPTIONS``."""
+    lines = ["usage: signedflow COMMAND --option VALUE|--option=VALUE ...  ([...] may be left out)"]
+    for command, table in _OPTIONS.items():
+        words = [f"{name} {dest.upper()}" if default is None else f"[{name}]" if reader is bool
+                 else f"[{name} {default}]" for name, (dest, reader, default) in table.items()]
+        lines.append(f"  {command:<8} {' '.join(words)}")
+    return "\n".join(lines)
 
 
 def _print_report(command: str, inputs: dict, results: dict, as_json: bool,
@@ -255,11 +261,18 @@ def _print_report(command: str, inputs: dict, results: dict, as_json: bool,
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    inputs = _inputs_of(args)
-    results, human, message = {}, [], None
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # an exact count may have any number of digits
+    argv = sys.argv[1:] if argv is None else argv
+    command, inputs, results, human, message = argv[0] if argv else None, {}, {}, [], None
+    as_json = "--json" in argv
     try:
-        results, human, code = _HANDLERS[args.command](args)
+        if "-h" in argv or "--help" in argv:
+            human, code, as_json = [_usage()], EXIT_OK, False
+        else:
+            command, args = _parse(argv)
+            inputs = {k: v for k, v in args.items() if k != "json"}
+            results, human, code = _HANDLERS[command](args)
     except oracle.BudgetExceededError as exc:
         message, code = str(exc), EXIT_BUDGET
     except ValueError as exc:
@@ -269,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
         # never as a traceback or as the mismatch code
         message, code = f"internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL
     try:
-        _print_report(args.command, inputs, results, args.json, human, message)
+        _print_report(command, inputs, results, as_json, human, message)
     except OSError as exc:  # a closed pipe or a full disk
         try:
             print(f"error: cannot write the report: {exc}", file=sys.stderr)

@@ -92,6 +92,13 @@ class TestCount:
         assert code == 0
         assert f"nowhere-zero flows: {nonzero_sum_count(1200, 3)}" in out
 
+    def test_count_longer_than_the_default_int_text_limit(self, capsys, write_graph):
+        # 4,335 digits: CPython refuses int <-> str conversions past 4,300 by default
+        graph = SignedGraph(2, ((0, 1, 1),) * 14400)
+        code, out = run_cli(capsys, "count", "--graph", write_graph(graph), "--group", "3")
+        assert code == 0
+        assert out.splitlines()[-1] == f"nowhere-zero flows: {(2**14400 + 2) // 3}"
+
     def test_negative_budget_is_an_input_error(self, capsys, write_graph):
         code, out = run_cli(
             capsys, "count", "--graph", write_graph(TRIANGLE), "--group", "3", "--budget", "-5",
@@ -115,10 +122,55 @@ class TestCount:
 @pytest.mark.parametrize("value", ["1_000", "\uff12", " 2", "2.0"])
 def test_integer_options_are_ascii_digits(capsys, write_graph, command, option, value):
     extra = ["--group", "3"] if command == "count" else []
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--graph", write_graph(NEG_LOOP), *extra, option, value])
-    assert exc.value.code == 2
-    assert f"argument {option}: value must be an integer, got {value!r}" in capsys.readouterr().err
+    assert cli.main([command, "--graph", write_graph(NEG_LOOP), *extra, option, value]) == 2
+    assert capsys.readouterr().err == f"error: {option[2:]} must be an integer, got {value!r}\n"
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--graph", "G", "--budget", "1_000"], "budget must be an integer, got '1_000'"),
+        (["count", "--graph", "G", "--group", "3", "--grup", "3"], "count has no option '--grup'"),
+        (["count", "--group", "3"], "count needs --graph"),
+        (["tally", "--graph", "G"],
+         "command must be one of count, poly, verify, equiv, switch, intflow, got 'tally'"),
+        (["count", "--graph", "G", "--group"], "--group needs a value"),
+    ], ids=["underscored-integer", "unknown-option", "missing-graph", "unknown-command",
+            "missing-value"])
+    def test_refusals_under_json_are_json_reports(self, capsys, write_graph, argv, message):
+        path = write_graph(NEG_LOOP)
+        code, out = run_cli(capsys, *[path if a == "G" else a for a in argv], "--json")
+        assert code == 2
+        report = json.loads(out)
+        assert (report["command"], report["status"], report["message"]) == (argv[0], "error", message)
+
+    def test_equals_form_and_last_repeat_wins(self, capsys, write_graph):
+        code, out = run_cli(capsys, "count", f"--graph={write_graph(NEG_LOOP)}", "--group=5",
+                            "--group", "2,2", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["inputs"]["group"] == "2,2"
+        assert report["results"]["count"] == 3
+
+    def test_inputs_echo_the_defaults_and_leave_out_json(self, capsys, write_graph):
+        path = write_graph(BARBELL)
+        code, out = run_cli(capsys, "intflow", "--graph", path, "--json")
+        assert code == 0
+        assert json.loads(out)["inputs"] == {"budget": 10**8, "fit": False, "graph": path, "n_max": 8}
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["count", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: signedflow COMMAND")
+        assert "  count    --graph GRAPH [--json] [--budget 100000000] --group GROUP\n" in out
+
+    def test_run_reads_sys_argv(self, capsys, write_graph, monkeypatch):
+        argv = ["signedflow", "count", "--graph", write_graph(NEG_LOOP), "--group", "2,2"]
+        monkeypatch.setattr("sys.argv", argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 0
+        assert "nowhere-zero flows: 3" in capsys.readouterr().out
 
 
 class TestPoly:

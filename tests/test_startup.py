@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import signedflow
 
 SRC = Path(signedflow.__file__).resolve().parent.parent
@@ -34,13 +36,15 @@ print(json.dumps(added))
 """
 
 
-def _added_modules(tmp_path):
-    graph = tmp_path / "digon.txt"
+@pytest.fixture(scope="module")
+def added(tmp_path_factory):
+    graph = tmp_path_factory.mktemp("startup") / "digon.txt"
     graph.write_text("vertices 2\nedge 0 1 +\nedge 0 1 +\n")
     g = ["--graph", str(graph), "--json"]
     steps = [
         ("count", ["count", *g, "--group", "3"]),
         ("intflow", ["intflow", *g, "--n-max", "6"]),
+        ("verify", ["verify", *g, "--max-order", "4"]),
         ("fit", ["intflow", *g, "--n-max", "6", "--fit"]),
         ("poly", ["poly", *g]),
     ]
@@ -50,12 +54,20 @@ def _added_modules(tmp_path):
     return {step: set(mods) for step, mods in json.loads(out).items()}
 
 
-def test_heavy_modules_load_only_where_used(tmp_path):
-    added = _added_modules(tmp_path)
+def test_heavy_modules_load_only_where_used(added):
     assert "signedflow.cli" in added["import"]
     assert not added["import"] & HEAVY
     assert not added["count"] & HEAVY
     assert not added["intflow"] & HEAVY
-    assert "fractions" in added["fit"] - added["intflow"]
+    assert "fractions" in added["fit"] - added["verify"]
     assert "hashlib" not in added["fit"]
     assert "hashlib" in added["poly"] - added["fit"]
+
+
+def test_import_loads_no_argparse(added):
+    assert not added["import"] & {"argparse", "gettext"}
+
+
+def test_verify_loads_no_hashlib(added):
+    assert not added["verify"] & HEAVY
+    assert "hashlib" in added["poly"] - added["verify"]
