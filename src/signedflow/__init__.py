@@ -7,7 +7,6 @@ counts for every finite abelian group with a fixed 2-rank.
 """
 
 from .engine import (
-    FlowPolynomialFamily,
     QuasiPolynomialFit,
     double_sum_solutions,
     fit_quasipolynomial,
@@ -54,7 +53,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "Edge",
     "FiniteAbelianGroup",
-    "FlowPolynomialFamily",
     "Orientation",
     "Poly",
     "QuasiPolynomialFit",

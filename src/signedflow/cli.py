@@ -18,7 +18,8 @@ import json
 import sys
 
 from . import engine, oracle
-from .graph import SignedGraph, graph_to_text, parse_graph_text, signatures_equivalent, switch
+from .graph import (SignedGraph, graph_fingerprint, graph_to_text, parse_graph_text,
+                    signatures_equivalent, switch)
 from .groups import FiniteAbelianGroup, abelian_groups_up_to, group_pairs_same_invariants, parse_group_spec
 from .polynomial import Poly
 from .values import _as_int, _int_text
@@ -82,10 +83,10 @@ def _cmd_count(args) -> tuple[dict, list[str], int]:
 def _cmd_poly(args) -> tuple[dict, list[str], int]:
     g = _load_graph(args["graph"])
     _as_int(args["d_max"], "d-max", least=0)
-    family = engine.flow_polynomial_family(g, args["d_max"], cache={})
-    polys = [{"d": d, **_poly_json(p)} for d, p in sorted(family.entries.items())]
+    family = engine.flow_polynomial_family(g, args["d_max"])
+    polys = [{"d": d, **_poly_json(p)} for d, p in family.items()]
     results = {"d_max": args["d_max"], "polynomials": polys,
-               "graph_fingerprint": family.graph_fingerprint}
+               "graph_fingerprint": graph_fingerprint(g)}
     human = [f"graph: {g.num_vertices} vertices, {g.num_edges} edges"]
     for entry in polys:
         human.append(f"f_{entry['d']}(n) = {entry['text']}    coeffs {entry['coeffs']}")
@@ -96,7 +97,7 @@ def _cmd_verify(args) -> tuple[dict, list[str], int]:
     g = _load_graph(args["graph"])
     _as_int(args["max_order"], "max-order", least=1)
     gammas = abelian_groups_up_to(args["max_order"])
-    cache: dict = {}  # one F(q, n) gives every f_d
+    family = engine.flow_polynomial_family(g, max(gamma.two_rank for gamma in gammas))
     group_rows = []
     human = []
     all_pass = True
@@ -104,7 +105,7 @@ def _cmd_verify(args) -> tuple[dict, list[str], int]:
     for gamma in gammas:
         d = gamma.two_rank
         n = gamma.order // 2**d
-        expected = engine.flow_polynomial(g, d, cache=cache)(n)
+        expected = family[d](n)
         actual = counts[gamma] = oracle.count_group_flows(g, gamma, budget=args["budget"])
         ok = expected == actual
         all_pass = all_pass and ok
@@ -116,8 +117,8 @@ def _cmd_verify(args) -> tuple[dict, list[str], int]:
             f"oracle={actual} poly={expected} {'PASS' if ok else 'FAIL'}"
         )
     pair_rows = []
-    for left, right in group_pairs_same_invariants(args["max_order"]):
-        # every group of a pair has order <= max_order, so it was counted above
+    for left, right in group_pairs_same_invariants(gammas):
+        # every group of a pair is in gammas, so it was counted above
         cl, cr = counts[left], counts[right]
         ok = cl == cr
         all_pass = all_pass and ok

@@ -11,12 +11,15 @@ of Beck and Zaslavsky (2006):
     F(q, n) = sum over edge sets A of (-1)^|E - A| q^k(A) n^(k(A) - u(A)),
 
 where k(A) is the cycle rank of (V, A) and u(A) its number of unbalanced
-components.  The engine sums it in one iterative pass along
-``graph.frontier_walk``, keeping only what the remaining edges can still
-see: the open vertices, split into blocks by the contracted edges (the
-edges in A), each vertex with its sign parity relative to its block and
-each block with an unbalanced flag.  No minor is built and nothing
-recurses, so the cost follows the frontier width, not the edge order.
+components.  The engine sums it in one iterative pass over the whole
+graph along ``graph.frontier_walk``, keeping only what the remaining
+edges can still see: the open vertices, split into blocks by the
+contracted edges (the edges in A), each vertex with its sign parity
+relative to its block and each block with an unbalanced flag.  The sum is
+multiplicative over components, and the walk finishes one component
+before it starts the next, so a disconnected graph needs no split.  No
+minor is built, nothing recurses and nothing is memoised, so the cost
+follows the frontier width, not the edge order.
 """
 
 from __future__ import annotations
@@ -24,30 +27,15 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable
 
-from .graph import (
-    SignedGraph,
-    connected_components,
-    drop_edgeless_vertices,
-    frontier_walk,
-    graph_fingerprint,
-)
-# unused here; perfbench/tracing.py wraps these names on this module
-from .graph import contract_edge, delete_edge, make_edge_positive  # noqa: F401
+from .graph import SignedGraph, drop_edgeless_vertices, frontier_walk
+# unused here; perfbench/tracing.py wraps these names on this module, and
+# each name it wraps must resolve
+from .graph import connected_components, contract_edge, delete_edge, graph_fingerprint, make_edge_positive  # noqa: F401
 from .polynomial import Poly, _as_exact, interpolate
 from .values import Record, _as_int
 
 # F(q, n) as {(i, j): c} for the terms c * n^i * q^j, zero terms omitted.
-# Memoised values are shared between callers, so they are never mutated.
 _Bivariate = dict[tuple[int, int], int]
-
-
-def _mul(a: _Bivariate, b: _Bivariate) -> _Bivariate:
-    out: _Bivariate = {}
-    for (i, j), c in a.items():
-        for (k, l), e in b.items():
-            key = (i + k, j + l)
-            out[key] = out.get(key, 0) + c * e
-    return {k: c for k, c in out.items() if c}
 
 
 def _at_q(f: _Bivariate, d: int) -> Poly:
@@ -85,19 +73,13 @@ def nonzero_sum_count(s: int, order: int | None = None) -> Poly | int:
     an abelian group of order m.
 
     Returned as a polynomial in m when ``order`` is None, otherwise
-    evaluated at the given order.  The count is
-    sum_{i=1..s-1} (-1)^(i-1) (m-1)^(s-i) for s >= 1.  The empty equation
-    (s = 0) has exactly one solution; the sum convention alone would drop
-    it, but the enumeration oracle pins it at 1.  The polynomial is the
-    negative-loop count at q = 1, where doubling is a bijection.
+    evaluated at the given order.  It is the negative-loop count at q = 1,
+    where doubling is a bijection: ((m-1)^s + (-1)^s (m-1)) / m, which is 1
+    for the empty equation (s = 0).
     """
     s = _as_int(s, "s", least=0)
-    if order is not None:
-        order = _as_int(order, "order", least=1)
-        if s == 0:
-            return 1
-        return sum((-1) ** (i - 1) * (order - 1) ** (s - i) for i in range(1, s))
-    return _at_q(_negative_loops(s), 0)
+    p = _at_q(_negative_loops(s), 0)
+    return p if order is None else p(_as_int(order, "order", least=1))
 
 
 def double_sum_solutions(t: int, d: int) -> Poly:
@@ -110,41 +92,35 @@ def double_sum_solutions(t: int, d: int) -> Poly:
     return _at_q(_negative_loops(t), d)
 
 
-def flow_polynomial(g: SignedGraph, d: int, *, cache: dict[SignedGraph, _Bivariate] | None = None) -> Poly:
+def flow_polynomial(g: SignedGraph, d: int, *, cache: object = None) -> Poly:
     """The polynomial f with f(n) = number of nowhere-zero flows over every
     abelian group of 2-rank d and order 2^d * n.
 
-    Computes F(q, n), the product over the connected components of their
-    subset expansions (see the module docstring), each summed in one pass
-    over its edges in frontier order, and returns F(2^d, n).  Edgeless
-    vertices are dropped first: each is a factor 1.
+    Computes F(q, n), the subset expansion of the module docstring, in one
+    pass over the whole graph, and returns F(2^d, n).  For several d,
+    :func:`flow_polynomial_family` computes F once.
 
-    ``cache`` maps a graph, without its edgeless vertices, to its F (None
-    means a fresh dict).  Entries carry no d, so a cache may be shared
-    across calls and across values of d.
+    ``cache`` is accepted and unused, only because the benchmark's
+    exactness check (``perfbench/checks.py``) passes ``cache={}``.
     """
     d = _as_int(d, "d", least=0)
-    return _at_q(_flow_poly_at_entry(g, cache), d)
+    return _at_q(_flow_poly_at_entry(g), d)
 
 
-def _flow_poly_at_entry(g: SignedGraph, cache: dict[SignedGraph, _Bivariate] | None) -> _Bivariate:
-    """F(q, n) of ``g``, looked up in or stored to ``cache``."""
+def _flow_poly_at_entry(g: SignedGraph) -> _Bivariate:
+    """F(q, n) of ``g``.  Edgeless vertices are dropped first: each is a
+    factor 1, and so is an edgeless graph."""
     g = drop_edgeless_vertices(g)
-    cache = {} if cache is None else cache
-    result = cache.get(g)
-    if result is None:
-        parts = [_component_poly(comp) for comp in connected_components(g)]
-        result = parts.pop() if parts else {(0, 0): 1}
-        for f in parts:
-            result = _mul(result, f)
-        cache[g] = result
-    return result
+    return _frontier_sum(g) if g.edges else {(0, 0): 1}
 
 
-def _component_poly(g: SignedGraph) -> _Bivariate:
-    """F(q, n) of a connected graph with at least one edge.
+def _frontier_sum(g: SignedGraph) -> _Bivariate:
+    """F(q, n) of a graph whose every vertex has an edge, in one pass.
 
-    The edges are taken along :func:`frontier_walk`.  A state is a tuple
+    The edges are taken along :func:`frontier_walk`.  Each connected
+    component's edges are contiguous there and no vertex is open between
+    two components, so a disconnected graph is summed as it is: F is
+    multiplicative over components.  A state is a tuple
     with one label per slot: its block number times 4, plus 2 if the block
     is unbalanced, plus its parity.  Switching at the vertices of parity 1
     makes every contracted edge of a block positive.  A block is named
@@ -164,7 +140,8 @@ def _component_poly(g: SignedGraph) -> _Bivariate:
     k + ``room`` * u, so adding two sums is one int addition, k + 1 is a
     shift by ``width`` and u + 1 a shift by ``width * room``.  Every
     coefficient sums at most 2^|E| terms of +-1, so a digit never
-    overflows, and k <= |E| - |V| + 1 < ``room``.
+    overflows, and k <= |E| - |V| + c < ``room`` for c components, counted
+    as the times no vertex is open after an edge.
 
     A loop is an edge with both ends at one slot: in A it adds a cycle, and
     a negative one unbalances its block.  A positive loop changes no state,
@@ -174,7 +151,11 @@ def _component_poly(g: SignedGraph) -> _Bivariate:
     m = g.num_edges
     width = (m + 9) // 8 * 8  # whole bytes, and |digit| <= 2^m < 2^(width - 1)
     x = 1 << width
-    room = m - g.num_vertices + 2
+    open_now = components = 0
+    for _, _, _, opened, freed in walk:
+        open_now += len(opened) - len(freed)
+        components += not open_now
+    room = m - g.num_vertices + components + 1
     level = width * room
 
     # every slot is free at the start, and again after the last edge
@@ -215,7 +196,7 @@ def _contract(states: dict[tuple[int, ...], int], sa: int, sb: int, negative: bo
               width: int, leave: list[int]) -> dict[tuple[int, ...], int]:
     """Each state with the edge between slots ``sa`` and ``sb`` deleted (as
     it is) and contracted (negated); ``leave`` ranks the slots' vertices by
-    when they leave.  See :func:`_component_poly`."""
+    when they leave.  See :func:`_frontier_sum`."""
     out: dict[tuple[int, ...], int] = {}
     for s, c in states.items():
         out[s] = out.get(s, 0) + c
@@ -258,25 +239,12 @@ def _close(states: dict[tuple[int, ...], int], freed: tuple[int, ...],
     return out
 
 
-class FlowPolynomialFamily(Record):
-    """Polynomials f_d for d = 0..d_max, tied to the graph they were computed from."""
-
-    __slots__ = ("entries", "graph_fingerprint")
-
-    def __init__(self, entries: dict[int, Poly], graph_fingerprint: str) -> None:
-        self.entries = entries
-        self.graph_fingerprint = graph_fingerprint
-
-
-def flow_polynomial_family(
-    g: SignedGraph, d_max: int, *, cache: dict[SignedGraph, _Bivariate] | None = None
-) -> FlowPolynomialFamily:
-    """f_0..f_d_max from one F(q, n): f_d is F(2^d, n), see
-    :func:`flow_polynomial`."""
+def flow_polynomial_family(g: SignedGraph, d_max: int) -> dict[int, Poly]:
+    """``{d: f_d}`` for d = 0..d_max, from one F(q, n): f_d is F(2^d, n),
+    see :func:`flow_polynomial`."""
     d_max = _as_int(d_max, "d_max", least=0)
-    f = _flow_poly_at_entry(g, cache)
-    entries = {d: _at_q(f, d) for d in range(d_max + 1)}
-    return FlowPolynomialFamily(entries=entries, graph_fingerprint=graph_fingerprint(g))
+    f = _flow_poly_at_entry(g)
+    return {d: _at_q(f, d) for d in range(d_max + 1)}
 
 
 class QuasiPolynomialFit(Record):

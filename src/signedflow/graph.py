@@ -144,12 +144,15 @@ def is_edge_cut(g: SignedGraph, d: Iterable[int]) -> bool:
 
     Decided by 2-coloring: an edge in ``d`` forces its endpoints into
     different sides, any other edge forces them into the same side.  A loop
-    has both ends on one side, so any ``d`` containing a loop fails.
+    has both ends on one side, so any ``d`` containing a loop fails.  An
+    edgeless vertex can take either side, so the coloring runs without
+    them (the edge ids stay) and allocates nothing per declared vertex.
     """
     ids = _check_edge_ids(g, d)
     for i in ids:
         if g.edges[i].is_loop():
             return False
+    g = drop_edgeless_vertices(g)
     adj: list[list[tuple[int, bool]]] = [[] for _ in range(g.num_vertices)]
     for i, e in enumerate(g.edges):
         if e.is_loop():

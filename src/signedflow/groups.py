@@ -189,14 +189,16 @@ def abelian_groups_up_to(max_order: int) -> list[FiniteAbelianGroup]:
 
 
 def group_pairs_same_invariants(
-    max_order: int,
+    groups: Iterable[FiniteAbelianGroup],
 ) -> list[tuple[FiniteAbelianGroup, FiniteAbelianGroup]]:
-    """Non-isomorphic pairs sharing both order and 2-rank, for orders <= max_order.
+    """Pairs of ``groups`` sharing both order and 2-rank, in order of
+    (order, 2-rank) and then of ``groups``; non-isomorphic pairs when
+    ``groups`` lists each group once, as :func:`abelian_groups_up_to` does.
 
-    >>> [(a.moduli, b.moduli) for a, b in group_pairs_same_invariants(9)]
+    >>> [(a.moduli, b.moduli) for a, b in group_pairs_same_invariants(abelian_groups_up_to(9))]
     [((9,), (3, 3))]
     """
     buckets: dict[tuple[int, int], list[FiniteAbelianGroup]] = {}
-    for g in abelian_groups_up_to(max_order):
+    for g in groups:
         buckets.setdefault((g.order, g.two_rank), []).append(g)
     return [pair for key in sorted(buckets) for pair in itertools.combinations(buckets[key], 2)]

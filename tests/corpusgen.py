@@ -117,6 +117,18 @@ def signed_graphs(draw, max_vertices: int = 4, max_edges: int = 5):
     return SignedGraph.from_edges(nv, triples)
 
 
+def disjoint_union(parts, rng: random.Random | None = None) -> SignedGraph:
+    """The parts side by side, vertices numbered part after part; edges in
+    part order, or shuffled by ``rng`` so that the parts' edges interleave."""
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset, sign) for u, v, sign in part.edges]
+        offset += part.num_vertices
+    if rng is not None:
+        rng.shuffle(edges)
+    return SignedGraph.from_edges(offset, edges)
+
+
 @st.composite
 def vertex_subsets(draw, graph: SignedGraph):
     if graph.num_vertices == 0:

@@ -16,7 +16,7 @@ from signedflow import (
     parse_graph_text,
     signatures_equivalent,
 )
-from signedflow.graph import graph_to_text
+from signedflow.graph import graph_fingerprint, graph_to_text
 
 from corpusgen import BARBELL, NEG_LOOP, POS_LOOP, TRIANGLE, g
 
@@ -194,6 +194,15 @@ class TestPoly:
         assert len(report["results"]["graph_fingerprint"]) == 64
         assert report["results"]["polynomials"][0]["coeffs"] == [-1, 1]
 
+    def test_fingerprint_tracks_the_graph(self, capsys, write_graph):
+        def fingerprint(graph):
+            code, out = run_cli(capsys, "poly", "--graph", write_graph(graph), "--d-max", "1", "--json")
+            assert code == 0
+            return json.loads(out)["results"]["graph_fingerprint"]
+
+        assert fingerprint(POS_LOOP) != fingerprint(NEG_LOOP)
+        assert fingerprint(POS_LOOP) == fingerprint(POS_LOOP) == graph_fingerprint(POS_LOOP)
+
     # Deep enough to exhaust Python's recursion limit in a recursive
     # deletion-contraction; the frontier pass needs no recursion.
     def poly_family(self, capsys, write_graph, graph, d_max):
@@ -234,6 +243,15 @@ class TestVerify:
         assert [r["count"] for r in reports[1][:2]] == [r["count"] for r in reports[0][:2]] == [1, 0]
         assert reports[1][2] == reports[0][2]
         assert reports[1][2]["all_pass"]
+
+    def test_all_pass_on_a_disconnected_graph(self, capsys, write_graph):
+        # a barbell, a negative triangle and two isolated vertices, edges interleaved
+        graph = g(7, (3, 4, -1), (0, 0, -1), (4, 5, 1), (1, 1, -1), (3, 5, 1), (0, 1, 1))
+        code, out = run_cli(capsys, "verify", "--graph", write_graph(graph), "--max-order", "9", "--json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["all_pass"] and len(results["pairs"]) == 1
+        assert any(row["oracle"] for row in results["groups"])
 
     def test_all_pass_on_sound_engine(self, capsys, write_graph):
         code, out = run_cli(
@@ -404,6 +422,39 @@ class TestEquivAndSwitch:
         )
         assert code == 0
         assert parse_graph_text(text) == TRIANGLE
+
+
+HUGE_DIGON = "vertices 1000000000000\nedge 0 999999999999 +\nedge 0 999999999999 -\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv", "--other", "{graph}"],
+    ["count", "--group", "3"],
+    ["poly"],
+    ["verify", "--max-order", "3"],
+    ["switch", "--vertices", "0"],
+    ["intflow", "--n-max", "6"],
+])
+def test_huge_vertex_count_costs_no_memory_per_vertex(tmp_path, argv):
+    # a child under an 800 MB address-space limit, so that work per declared
+    # vertex fails at once instead of filling the machine's memory
+    resource = pytest.importorskip("resource")
+    limit = 800 * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    path = tmp_path / "huge.txt"
+    path.write_text(HUGE_DIGON)
+    argv = [a.format(graph=path) for a in argv]
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "signedflow.cli", *argv, "--graph", str(path), "--json"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["status"] == "ok"
 
 
 class TestIntflow:

@@ -18,7 +18,6 @@ from signedflow import (
     fit_quasipolynomial,
     flow_polynomial,
     flow_polynomial_family,
-    graph_fingerprint,
     nonzero_sum_count,
     switch,
 )
@@ -38,6 +37,7 @@ from corpusgen import (
     TWO_NEG_LOOPS,
     VERTEXLESS,
     acceptance_corpus,
+    disjoint_union,
     g,
     k4_with_signs,
     loop_and_multi_edge_graphs,
@@ -250,7 +250,7 @@ class TestFrontierStates:
 
         monkeypatch.setattr(engine, "_contract", checked)
         for graph in acceptance_corpus() + [prism(5, "cycle"), prism(4, "rung")]:
-            _flow_poly_at_entry(graph, None)
+            _flow_poly_at_entry(graph)
 
 
 class TestSubsetExpansion:
@@ -258,17 +258,17 @@ class TestSubsetExpansion:
 
     def test_matches_on_the_acceptance_corpus(self):
         for graph in acceptance_corpus():
-            assert _flow_poly_at_entry(graph, None) == subset_expansion(graph)
+            assert _flow_poly_at_entry(graph) == subset_expansion(graph)
 
     @given(loop_and_multi_edge_graphs(max_edges=12))
     @settings(max_examples=40, deadline=None)
     def test_matches_on_loop_and_multi_edge_heavy_graphs(self, graph):
-        assert _flow_poly_at_entry(graph, None) == subset_expansion(graph)
+        assert _flow_poly_at_entry(graph) == subset_expansion(graph)
 
     @given(signed_graphs(max_vertices=6, max_edges=9))
     @settings(max_examples=60, deadline=None)
     def test_matches_on_random_graphs(self, graph):
-        assert _flow_poly_at_entry(graph, None) == subset_expansion(graph)
+        assert _flow_poly_at_entry(graph) == subset_expansion(graph)
 
 
 class TestFlowPolynomial:
@@ -304,7 +304,7 @@ class TestFlowPolynomial:
         graph = SignedGraph(2, ((0, 1, 1),) * 300)
         family = flow_polynomial_family(graph, 3)
         for d in range(4):
-            assert family.entries[d] == nonzero_sum_count(300).scale_argument(2**d)
+            assert family[d] == nonzero_sum_count(300).scale_argument(2**d)
 
     def test_all_positive_triangle(self):
         for d in range(3):
@@ -343,6 +343,9 @@ class TestFlowPolynomial:
               (2, 5, -1), (5, 3, -1)),
             # K4 with a pendant path 3-4-5
             g(6, *k4_with_signs([-1, 1, 1, 1, 1, 1]).edges, (3, 4, 1), (4, 5, -1)),
+            # a negative triangle, a negative loop, an isolated vertex and a
+            # +- digon, the components' edges interleaved
+            g(7, (5, 6, 1), (0, 2, 1), (3, 3, -1), (0, 1, -1), (5, 6, -1), (1, 2, 1)),
         ],
     )
     def test_agrees_with_oracle_on_groups_up_to_order_9(self, graph):
@@ -354,7 +357,7 @@ class TestFlowPolynomial:
         family = flow_polynomial_family(graph, 2)
         for gamma in abelian_groups_up_to(6):
             d = gamma.two_rank
-            assert family.entries[d](gamma.order // 2**d) == count_group_flows(graph, gamma)
+            assert family[d](gamma.order // 2**d) == count_group_flows(graph, gamma)
 
     def test_coefficients_are_exact_integers(self):
         for graph in [BARBELL, TRIANGLE_ONE_NEG, k4_with_signs([-1] * 6)]:
@@ -387,7 +390,7 @@ class TestFlowPolynomial:
         w = graph.num_vertices
         halves = (Edge(e.u, w, s), Edge(w, e.v, s * e.sign))
         subdivided = SignedGraph(w + 1, graph.edges[:i] + halves + graph.edges[i + 1 :])
-        assert flow_polynomial_family(subdivided, 2).entries == flow_polynomial_family(graph, 2).entries
+        assert flow_polynomial_family(subdivided, 2) == flow_polynomial_family(graph, 2)
 
     @given(signed_graphs(max_vertices=4, max_edges=5), st.data())
     @settings(max_examples=40, deadline=None)
@@ -396,18 +399,18 @@ class TestFlowPolynomial:
         v = data.draw(st.integers(0, graph.num_vertices - 1))
         s = data.draw(st.sampled_from((1, -1)))
         pendant = SignedGraph(graph.num_vertices + 1, graph.edges + (Edge(v, graph.num_vertices, s),))
-        assert all(p.is_zero() for p in flow_polynomial_family(pendant, 3).entries.values())
+        assert all(p.is_zero() for p in flow_polynomial_family(pendant, 3).values())
 
     def test_prism_edge_orders_agree(self):
-        cycle = flow_polynomial_family(prism(8, "cycle"), 3).entries
-        assert cycle == flow_polynomial_family(prism(8, "rung"), 3).entries
+        cycle = flow_polynomial_family(prism(8, "cycle"), 3)
+        assert cycle == flow_polynomial_family(prism(8, "rung"), 3)
         assert not cycle[0].is_zero()
 
     def test_long_prism_in_cycle_order(self):
         # C40 x K2: the frontier order keeps a few vertices open whatever the
         # listing, so the cycle-by-cycle listing costs no more than rung order
-        cycle = flow_polynomial_family(prism(40, "cycle"), 2).entries
-        assert cycle == flow_polynomial_family(prism(40, "rung"), 2).entries
+        cycle = flow_polynomial_family(prism(40, "cycle"), 2)
+        assert cycle == flow_polynomial_family(prism(40, "rung"), 2)
         assert not cycle[0].is_zero()
 
     def test_balanced_graphs_depend_only_on_group_order(self):
@@ -417,42 +420,24 @@ class TestFlowPolynomial:
                 assert flow_polynomial(graph, d) == f0.scale_argument(2**d)
 
     def test_cache_gives_identical_results(self):
+        # the keyword is accepted for callers that still pass it, and unused
         cache: dict = {}
-        for graph in [BARBELL, TRIANGLE_ONE_NEG, k4_with_signs([-1] + [1] * 5)]:
-            for d in range(3):
-                assert flow_polynomial(graph, d, cache=cache) == flow_polynomial(graph, d)
-        assert cache
-        # entries carry no d, so one reused cache serves every rank
-        assert flow_polynomial(NEG_LOOP, 0, cache=cache) == Poly()
-        assert flow_polynomial(NEG_LOOP, 2, cache=cache) == Poly((3,))
-        # one pass fills the same entries for d = 0 alone and for d <= 4
-        for graph in [BARBELL, TRIANGLE_ONE_NEG, k4_with_signs([-1] + [1] * 5)]:
-            c0: dict = {}
-            flow_polynomial(graph, 0, cache=c0)
-            c: dict = {}
-            family = flow_polynomial_family(graph, 4, cache=c)
-            assert len(c) == len(c0)
-            for d, p in family.entries.items():
-                assert p == flow_polynomial(graph, d)
+        for graph in [BARBELL, TRIANGLE_ONE_NEG, k4_with_signs([-1] + [1] * 5), NEG_LOOP]:
+            family = flow_polynomial_family(graph, 4)
+            for d, p in family.items():
+                assert flow_polynomial(graph, d, cache=cache) == p == flow_polynomial(graph, d)
+        assert not cache
 
 
 class TestFlowPolynomialFamily:
     def test_entries_cover_requested_range(self):
         family = flow_polynomial_family(NEG_LOOP, 3)
-        assert sorted(family.entries) == [0, 1, 2, 3]
-        assert [family.entries[d] for d in range(4)] == [
-            Poly(), Poly((1,)), Poly((3,)), Poly((7,))
-        ]
+        assert family == {0: Poly(), 1: Poly((1,)), 2: Poly((3,)), 3: Poly((7,))}
+        assert list(family) == [0, 1, 2, 3]
 
     def test_edgeless_family_is_constant_one(self):
         family = flow_polynomial_family(EDGELESS, 2)
-        assert all(p == Poly((1,)) for p in family.entries.values())
-
-    def test_fingerprint_tracks_the_graph(self):
-        a = flow_polynomial_family(POS_LOOP, 1)
-        b = flow_polynomial_family(NEG_LOOP, 1)
-        assert a.graph_fingerprint != b.graph_fingerprint
-        assert a.graph_fingerprint == flow_polynomial_family(POS_LOOP, 1).graph_fingerprint
+        assert family == {0: Poly((1,)), 1: Poly((1,)), 2: Poly((1,))}
 
     def test_negative_d_max_raises(self):
         with pytest.raises(ValueError):
@@ -466,9 +451,28 @@ class TestFlowPolynomialFamily:
         digon = g(2, (0, 1, 1), (0, 1, -1))
         padded = SignedGraph(10**6, (Edge(0, 999_999, 1), Edge(0, 999_999, -1)))
         family = flow_polynomial_family(padded, 3)
-        assert family.entries == flow_polynomial_family(digon, 3).entries
-        assert family.graph_fingerprint == graph_fingerprint(padded)
-        assert flow_polynomial(padded, 2) == family.entries[2]
+        assert family == flow_polynomial_family(digon, 3)
+        assert flow_polynomial(padded, 2) == family[2]
+
+
+class TestDisjointComponents:
+    """The walk sums every component in one pass; F is multiplicative."""
+
+    def test_forty_copies_give_the_fortieth_power(self):
+        part = g(2, (0, 1, 1), (0, 1, -1), (0, 0, -1))
+        one = flow_polynomial_family(part, 3)
+        assert not one[0].is_zero()
+        family = flow_polynomial_family(disjoint_union([part] * 40), 3)
+        assert family == {d: p ** 40 for d, p in one.items()}
+
+    @given(st.lists(signed_graphs(max_vertices=4, max_edges=4), min_size=2, max_size=4), st.randoms())
+    @settings(max_examples=40, deadline=None)
+    def test_union_is_the_product_of_its_parts(self, parts, rng):
+        expected = {d: Poly((1,)) for d in range(3)}
+        for part in parts:
+            for d, p in flow_polynomial_family(part, 2).items():
+                expected[d] = expected[d] * p
+        assert flow_polynomial_family(disjoint_union(parts, rng), 2) == expected
 
 
 class TestFitQuasipolynomial:

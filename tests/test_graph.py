@@ -34,6 +34,7 @@ from corpusgen import (
     POS_LOOP,
     TRIANGLE,
     ZOO,
+    disjoint_union,
     g,
     signed_graphs,
 )
@@ -491,6 +492,23 @@ class TestFrontierWalk:
         assert not holder and not leaves
         used = {p for _, su, sv, _, _ in walk for p in (su, sv)}
         assert used == set(range(open_vertex_peak(graph, order)))
+
+    @given(st.lists(signed_graphs(max_vertices=4, max_edges=5), min_size=1, max_size=4), st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_the_open_count_drops_to_zero_once_per_component(self, parts, rng):
+        # The engine counts components as the times no vertex is open after
+        # an edge.  Vertices seen before such a time have no later edge, so
+        # the stretches between them are vertex-disjoint, and there are as
+        # many as components exactly when each stretch is one component.
+        graph = disjoint_union(parts, rng)  # the components' edges interleave
+        walk = frontier_walk(graph)
+        open_now, closed_at = 0, []
+        for pos, (_, _, _, opened, freed) in enumerate(walk):
+            open_now += len(opened) - len(freed)
+            if not open_now:
+                closed_at.append(pos)
+        assert len(closed_at) == len(connected_components(drop_edgeless_vertices(graph)))
+        assert not walk or closed_at[-1] == len(walk) - 1
 
 
 def _rewrites(graph: SignedGraph):

@@ -348,7 +348,7 @@ class TestEqualInvariantsEqualCounts:
         from signedflow import group_pairs_same_invariants
 
         graphs = [NEG_LOOP, POS_LOOP, DIGON_PM, TRIANGLE_ONE_NEG, BARBELL, TWO_NEG_LOOPS]
-        for left, right in group_pairs_same_invariants(16):
+        for left, right in group_pairs_same_invariants(abelian_groups_up_to(16)):
             for graph in graphs:
                 assert count_group_flows(graph, left) == count_group_flows(graph, right)
 

@@ -10,15 +10,12 @@ import pytest
 from signedflow import (
     Edge,
     FiniteAbelianGroup,
-    FlowPolynomialFamily,
     Orientation,
     Poly,
     QuasiPolynomialFit,
     SignedGraph,
     delete_edge,
     fit_quasipolynomial,
-    flow_polynomial_family,
-    graph_fingerprint,
     switch,
 )
 
@@ -136,36 +133,6 @@ class TestFiniteAbelianGroup:
         with pytest.raises(AttributeError):
             del z.moduli
         assert z.order == 8
-
-
-class TestFlowPolynomialFamily:
-    def test_repr(self):
-        family = flow_polynomial_family(DIGON, 1)
-        fp = graph_fingerprint(DIGON)
-        assert repr(family) == (
-            f"FlowPolynomialFamily(entries={family.entries!r}, graph_fingerprint={fp!r})"
-        )
-        assert repr(FlowPolynomialFamily({0: Poly((1,))}, "ab")) == (
-            "FlowPolynomialFamily(entries={0: Poly([1])}, graph_fingerprint='ab')"
-        )
-
-    def test_keyword_construction_and_equality(self):
-        a = FlowPolynomialFamily(entries={0: Poly((1,))}, graph_fingerprint="ab")
-        assert a == FlowPolynomialFamily({0: Poly((1,))}, "ab")
-        assert a != FlowPolynomialFamily({0: Poly((1,))}, "cd")
-        assert flow_polynomial_family(DIGON, 2) == flow_polynomial_family(DIGON, 2)
-
-    def test_mutable_and_unhashable(self):
-        a = FlowPolynomialFamily({0: Poly((1,))}, "ab")
-        a.graph_fingerprint = "cd"
-        assert a.graph_fingerprint == "cd"
-        with pytest.raises(TypeError):
-            hash(a)
-
-    def test_deepcopy_and_pickle(self):
-        family = flow_polynomial_family(DIGON, 2)
-        for clone in (copy.deepcopy(family), pickle.loads(pickle.dumps(family))):
-            assert clone == family and repr(clone) == repr(family)
 
 
 class TestQuasiPolynomialFit:
