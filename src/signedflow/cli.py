@@ -158,8 +158,12 @@ def _cmd_switch(args) -> tuple[dict, list[str], int]:
 def _cmd_intflow(args) -> tuple[dict, list[str], int]:
     g = _load_graph(args["graph"])
     _as_int(args["n_max"], "n-max", least=1)
-    counts = [(n, oracle.count_integer_nflows(g, n, budget=args["budget"]))
-              for n in range(1, args["n_max"] + 1)]
+    counts = []
+    for n in range(1, args["n_max"] + 1):
+        try:
+            counts.append((n, oracle.count_integer_nflows(g, n, budget=args["budget"])))
+        except oracle.BudgetExceededError as exc:
+            raise oracle.BudgetExceededError(f"n = {n}: {exc}") from None
     results: dict = {"counts": [{"n": n, "count": c} for n, c in counts]}
     human = [f"n={n}: {c}" for n, c in counts]
     if args["fit"]:

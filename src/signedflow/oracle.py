@@ -72,12 +72,19 @@ def _count_flows(
     assignments that reach it.  The edge that closes a vertex is forced:
     the value whose contribution there negates the vertex's sum is looked
     up, not looped over.  A closed vertex's digit is 0 in every surviving
-    state, so its slot can pass to the next vertex opened.
+    state, so its slot can pass to the next vertex opened.  The same lookup
+    is made one edge early: the vertex's next-to-last edge keeps only the
+    sums there that its last edge can negate, since the last edge would
+    drop every other state anyway.  This check reads only the tables the
+    closing edge reads (``mult`` with ``neg`` or ``ids``, or a loop's tally
+    of its k * x), so the step bound below and the memory are unchanged.
 
     Edgeless vertices are dropped first.  Before any table is built, one
     planning pass over the walk gives each edge its record: the place
     values of its ends' slots, its tau values and how many ends it closes,
-    a closing end first.  The same pass bounds the steps (a
+    a closing end first, and for each end whose next-to-last edge it is,
+    the factor its last edge adds x with there (tau at that end, or
+    tau0 + tau1 for a loop).  The same pass bounds the steps (a
     state extended by a value, or a table entry): 4 * order + len(values)
     for the fixed tables; at each edge, (states before it) * (1 if it
     closes an end, else len(values)), 2 * (order + len(values)) for value
@@ -93,6 +100,11 @@ def _count_flows(
     r, num_values = gamma.order, sum(map(len, values))
     walk = frontier_walk(g)
     plan: list[tuple[int, int, int, int, int]] = []
+    # per edge and end (u, v), the factor of the end's last edge there if this
+    # is the end's next-to-last edge: tau at that end, tau0 + tau1 for a loop
+    ahead: list[list[int | None]] = []
+    # per open slot that has had an edge: (position, end) of its latest edge
+    latest: dict[int, tuple[int, int]] = {}
     num_open, steps, bound = 0, 4 * r + num_values, 1
     for pos, (i, su, sv, opened, freed) in enumerate(walk):
         t0, t1 = tau.taus[i]
@@ -106,9 +118,17 @@ def _count_flows(
             )
         num_open += len(opened) - closes
         bound = min(bound * fanout, r**num_open)
+        for w in freed:
+            if w in latest:
+                prev, end = latest.pop(w)
+                ahead[prev][end] = t0 + t1 if su == sv else t0 if w == su else t1
         if su not in freed:  # v closes, or neither end does
             su, sv, t0, t1 = sv, su, t1, t0
+        for end, w in ((1, sv), (0, su)):  # a loop's one end is u
+            if w not in freed:
+                latest[w] = pos, end
         plan.append((r**su, r**sv, t0, t1, closes))
+        ahead.append([None, None])
 
     scaled: dict[int, list[int]] = {}
 
@@ -131,13 +151,33 @@ def _count_flows(
         rows[s] = [ids[x] for x in gamma.index_table(s, 1)]
         return rows[s]
 
+    tallies: dict[int, Counter] = {}
+
+    def tally(k: int) -> Counter:
+        """How many values x give each k * x."""
+        if k not in tallies:
+            tallies[k] = Counter(times(k))
+        return tallies[k]
+
+    def closable(k: int | None) -> tuple[list[int] | None, list[int] | Counter | None]:
+        """``(via, look)`` for a vertex whose last edge adds k * x there: a
+        new digit d there survives iff ``look[via[d]]``, the number of values
+        with which that edge negates d; ``k is None`` checks nothing."""
+        if k is None:
+            return None, None
+        if k in (1, -1):
+            return neg if k == 1 else ids, mult
+        return neg, tally(k)
+
     states = {0: 1}
-    for pu, pv, t0, t1, closes in plan:
+    for (pu, pv, t0, t1, closes), (cu, cv) in zip(plan, ahead):
         new: dict[int, int] = {}
         get = new.get
+        via_u, look_u = closable(cu)
+        via_v, look_v = closable(cv)
         if pu == pv:
             # a loop adds tau0*x + tau1*x at its one vertex
-            adds = Counter(times(t0 + t1))
+            adds = tally(t0 + t1)
             if closes:
                 for s, c in states.items():
                     su = s // pu % r
@@ -151,8 +191,10 @@ def _count_flows(
                     row_u = rows[su] or row(su)
                     base = s - su * pu
                     for a, k in adds.items():
-                        key = base + row_u[a] * pu
-                        new[key] = get(key, 0) + c * k
+                        du = row_u[a]
+                        if cu is None or look_u[via_u[du]]:
+                            key = base + du * pu
+                            new[key] = get(key, 0) + c * k
         elif closes:
             # u closes: the forced value x has tau0*x = -su; it is
             # mult[x_of[su]] values, and adds tau1*x = b_of[su] at v
@@ -161,12 +203,17 @@ def _count_flows(
             for s, c in states.items():
                 su, sv = s // pu % r, s // pv % r
                 k = mult[x_of[su]]
-                # when v closes too, tau1*x must negate its sum
-                if k and (closes == 1 or neg[b_of[su]] == sv):
-                    key = s - su * pu - sv * pv
-                    if closes == 1:
-                        key += (rows[sv] or row(sv))[b_of[su]] * pv
-                    new[key] = get(key, 0) + c * k
+                if not k:
+                    continue
+                key = s - su * pu - sv * pv
+                if closes == 1:
+                    dv = (rows[sv] or row(sv))[b_of[su]]
+                    if cv is not None and not look_v[via_v[dv]]:
+                        continue
+                    key += dv * pv
+                elif neg[b_of[su]] != sv:  # v closes too: tau1*x must negate its sum
+                    continue
+                new[key] = get(key, 0) + c * k
         else:
             ta, tb = times(t0), times(t1)
             for s, c in states.items():
@@ -175,8 +222,10 @@ def _count_flows(
                 row_v = rows[sv] or row(sv)
                 base = s - su * pu - sv * pv
                 for a, b in zip(ta, tb):
-                    key = base + row_u[a] * pu + row_v[b] * pv
-                    new[key] = get(key, 0) + c
+                    du, dv = row_u[a], row_v[b]
+                    if (cu is None or look_u[via_u[du]]) and (cv is None or look_v[via_v[dv]]):
+                        key = base + du * pu + dv * pv
+                        new[key] = get(key, 0) + c
         states = new
     return states.get(0, 0)
 

@@ -25,6 +25,7 @@ from signedflow import (
 )
 from signedflow.oracle import count_double_sum_solutions
 from signedflow.engine import double_sum_solutions
+from signedflow.graph import drop_edgeless_vertices
 
 from corpusgen import (
     BARBELL,
@@ -203,3 +204,47 @@ def test_criterion_9_integer_flow_quasipolynomials():
             if fit.p_even != fit.p_odd:
                 period_two_seen = True
         assert period_two_seen
+
+
+def balanced_components(graph: SignedGraph) -> int:
+    """Components with no negative cycle: those whose vertices take parities
+    that differ exactly across the negative edges."""
+    parity: dict[int, int] = {}
+    adjacent: dict[int, list[tuple[int, int]]] = {}
+    for e in graph.edges:
+        adjacent.setdefault(e.u, []).append((e.v, e.sign == -1))
+        adjacent.setdefault(e.v, []).append((e.u, e.sign == -1))
+    balanced = 0
+    for start in range(graph.num_vertices):
+        if start in parity:
+            continue
+        parity[start], stack, ok = 0, [start], True
+        while stack:
+            w = stack.pop()
+            for x, odd in adjacent.get(w, ()):
+                if x not in parity:
+                    parity[x] = parity[w] ^ odd
+                    stack.append(x)
+                elif parity[x] != parity[w] ^ odd:
+                    ok = False
+        balanced += ok
+    return balanced
+
+
+def test_integer_flow_degree_is_the_corank():
+    # Beck and Zaslavsky (JCTB 2006): the integral n-flow count is a
+    # quasi-polynomial of period at most 2, and both parity classes have
+    # degree xi = m - |V| + b, with b the balanced components once edgeless
+    # vertices are dropped; a class of degree xi needs xi + 2 samples
+    checked = 0
+    for graph in CORPUS:
+        core = drop_edgeless_vertices(graph)
+        xi = core.num_edges - core.num_vertices + balanced_components(core)
+        samples = [(n, count_integer_nflows(graph, n)) for n in range(1, max(6, 2 * xi + 5) + 1)]
+        if not any(count for _, count in samples):
+            continue
+        fit = fit_quasipolynomial(samples)
+        assert fit.validated, graph
+        assert (fit.p_even.degree, fit.p_odd.degree) == (xi, xi), graph
+        checked += 1
+    assert checked == 90

@@ -18,7 +18,7 @@ from signedflow import (
 )
 from signedflow.graph import graph_fingerprint, graph_to_text
 
-from corpusgen import BARBELL, NEG_LOOP, POS_LOOP, TRIANGLE, g
+from corpusgen import BARBELL, DIGON_PM, NEG_LOOP, POS_LOOP, TRIANGLE, g
 
 
 @pytest.fixture
@@ -487,6 +487,18 @@ class TestIntflow:
             capsys, "intflow", "--graph", write_graph(TRIANGLE), "--n-max", "50", "--budget", "100"
         )
         assert code == 3
+
+    def test_budget_refusal_names_its_n(self, capsys, write_graph):
+        # n = 30 fits the budget; the oracle's own message stays as it is after the prefix
+        message = ("n = 31: up to 1030 transfer-matrix steps by edge 2 of 2 "
+                   "with 2 vertices open exceed budget 1000")
+        argv = ["intflow", "--graph", write_graph(DIGON_PM), "--n-max", "100000", "--budget", "1000"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 3
+        assert json.loads(out)["message"] == message
 
 
 class TestJsonDeterminism:

@@ -21,7 +21,8 @@ from signedflow import (
     switch,
     verify_flow,
 )
-from signedflow.oracle import BudgetExceededError, count_double_sum_solutions
+from signedflow.graph import frontier_walk
+from signedflow.oracle import DEFAULT_BUDGET, BudgetExceededError, _count_flows, count_double_sum_solutions
 
 from corpusgen import (
     BARBELL,
@@ -63,6 +64,27 @@ def product_reference(graph: SignedGraph, gamma: FiniteAbelianGroup, tau: Orient
                 sums[w] = gamma.add(sums[w], x if t == 1 else gamma.negate(x))
         count += all(gamma.is_zero(s) for s in sums)
     return count
+
+
+def integer_product_reference(graph: SignedGraph, n: int) -> int:
+    """Integer n-flows by trying every assignment of +-1..+-(n-1), with
+    tau = +1 at u and -sign at v; a loop then adds (1 - sign) * x."""
+    values = [k for a in range(1, n) for k in (a, -a)]
+    count = 0
+    for xs in itertools.product(values, repeat=graph.num_edges):
+        sums = [0] * graph.num_vertices
+        for x, e in zip(xs, graph.edges):
+            sums[e.u] += x
+            sums[e.v] -= e.sign * x
+        count += not any(sums)
+    return count
+
+
+def flipped_orientation(graph: SignedGraph, flips: list[bool]) -> Orientation:
+    """The default orientation with the edges marked in ``flips`` reversed."""
+    return Orientation(tuple(
+        (-t0, -t1) if flip else (t0, t1) for (t0, t1), flip in zip(default_orientation(graph).taus, flips)
+    ))
 
 
 class TestVerifyFlow:
@@ -149,10 +171,7 @@ class TestCountGroupFlows:
     @settings(max_examples=60, deadline=None)
     def test_matches_product_reference_on_random_graphs(self, graph, gamma, data):
         flips = data.draw(st.lists(st.booleans(), min_size=graph.num_edges, max_size=graph.num_edges))
-        tau = Orientation(tuple(
-            (-t0, -t1) if flip else (t0, t1)
-            for (t0, t1), flip in zip(default_orientation(graph).taus, flips)
-        ))
+        tau = flipped_orientation(graph, flips)
         assert count_group_flows(graph, gamma, tau=tau) == product_reference(graph, gamma, tau)
 
     @given(loop_and_multi_edge_graphs(max_vertices=6, max_edges=10),
@@ -299,17 +318,98 @@ class TestIntegerFlows:
         ],
     )
     def test_matches_product_reference(self, graph):
-        # tau = +1 at u and -sign at v; a loop then adds (1 - sign) * x
         for n in range(1, 5):
-            values = [k for a in range(1, n) for k in (a, -a)]
-            expected = 0
-            for xs in itertools.product(values, repeat=graph.num_edges):
-                sums = [0] * graph.num_vertices
-                for x, e in zip(xs, graph.edges):
-                    sums[e.u] += x
-                    sums[e.v] -= e.sign * x
-                expected += not any(sums)
-            assert count_integer_nflows(graph, n) == expected
+            assert count_integer_nflows(graph, n) == integer_product_reference(graph, n)
+
+
+def value_set_reference(graph: SignedGraph, tau: Orientation, r: int, values: tuple[range, ...]) -> int:
+    """Assignments of residues mod r from ``values`` (a residue in two ranges
+    is two values) whose tau-weighted sums vanish mod r at every vertex."""
+    count = 0
+    for xs in itertools.product([x for part in values for x in part], repeat=graph.num_edges):
+        sums = [0] * graph.num_vertices
+        for x, e, (t0, t1) in zip(xs, graph.edges, tau.taus):
+            sums[e.u] += t0 * x
+            sums[e.v] += t1 * x
+        count += all(t % r == 0 for t in sums)
+    return count
+
+
+def closes_at_its_next_edge(walk, pos: int, slot: int) -> bool:
+    """Whether the next edge after ``pos`` at ``slot`` closes that slot's vertex."""
+    for _, su, sv, _, freed in walk[pos + 1:]:
+        if slot in (su, sv):
+            return slot in freed
+    return False
+
+
+def closing_shapes(graph: SignedGraph) -> set[str]:
+    """The ways of closing a vertex that the walk of ``graph`` takes."""
+    walk = frontier_walk(graph)
+    shapes = set()
+    for pos, (i, su, sv, _, freed) in enumerate(walk):
+        if su == sv and freed:
+            shapes.add("last edge a positive loop" if graph.edges[i].sign == 1 else "last edge a negative loop")
+        if len(freed) == 2:
+            shapes.add("one edge closes both ends")
+        if su != sv and all(closes_at_its_next_edge(walk, pos, w) for w in (su, sv)):
+            shapes.add("next-to-last at both ends")
+        if su == sv and not freed and closes_at_its_next_edge(walk, pos, su):
+            shapes.add("next-to-last edge a loop")
+    return shapes
+
+
+class TestEarlyClosingCheck:
+    """A vertex's next-to-last edge keeps only the sums its last edge can
+    negate; each way a vertex can close, against brute force."""
+
+    @pytest.mark.parametrize(
+        "graph, shape",
+        [
+            (g(2, (0, 1, 1), (0, 1, -1), (1, 1, 1)), "last edge a positive loop"),
+            (g(2, (0, 1, 1), (0, 1, 1), (1, 1, -1)), "last edge a negative loop"),
+            (g(2, (0, 1, 1), (0, 1, -1), (0, 1, 1)), "next-to-last at both ends"),
+            (g(3, (0, 1, 1), (1, 2, -1), (0, 1, 1), (1, 2, 1)), "next-to-last at both ends"),
+            (DIGON_PM, "one edge closes both ends"),
+            (g(2, (0, 1, 1), (0, 1, 1), (1, 1, -1), (1, 1, 1)), "next-to-last edge a loop"),
+        ],
+    )
+    def test_each_way_to_close_matches_brute_force(self, graph, shape):
+        assert shape in closing_shapes(graph)
+        for n in range(1, 5):
+            assert count_integer_nflows(graph, n) == integer_product_reference(graph, n)
+        tau = default_orientation(graph)
+        for gamma in (Z3, Z4, K4GROUP, Z5):
+            assert count_group_flows(graph, gamma) == product_reference(graph, gamma, tau)
+        # every caller's values are closed under negation, which hides the sign
+        # of the tau a closing edge has at its vertex; these are not
+        flipped = flipped_orientation(graph, [True] * graph.num_edges)
+        for r in (3, 4, 5):
+            for values in ((range(1, 2),), (range(1, 3), range(2, 3))):
+                for t in (tau, flipped):
+                    assert _count_flows(graph, t, FiniteAbelianGroup((r,)), values, DEFAULT_BUDGET) == (
+                        value_set_reference(graph, t, r, values)
+                    )
+
+    @given(signed_graphs(max_vertices=3, max_edges=5), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_counts_match_brute_force_on_random_graphs(self, graph, n):
+        assert count_integer_nflows(graph, n) == integer_product_reference(graph, n)
+
+    @given(signed_graphs(max_vertices=3, max_edges=4), st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_value_sets_not_closed_under_negation_on_random_graphs(self, graph, r, data):
+        bounds = [sorted(data.draw(st.lists(st.integers(0, r), min_size=2, max_size=2))) for _ in range(2)]
+        values = tuple(range(lo, hi) for lo, hi in bounds)
+        flips = data.draw(st.lists(st.booleans(), min_size=graph.num_edges, max_size=graph.num_edges))
+        tau = flipped_orientation(graph, flips)
+        assert _count_flows(graph, tau, FiniteAbelianGroup((r,)), values, DEFAULT_BUDGET) == (
+            value_set_reference(graph, tau, r, values)
+        )
+
+    def test_positive_k5(self):
+        k5 = g(5, *((u, v, 1) for u, v in itertools.combinations(range(5), 2)))
+        assert [count_integer_nflows(k5, n) for n in range(2, 6)] == [24, 576, 6096, 36784]
 
 
 class TestDoubleSumOracle:
