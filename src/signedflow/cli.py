@@ -49,13 +49,8 @@ def _parse_vertex_list(text: str) -> set[int]:
 
 
 def _coeff_json(c) -> int | str:
-    if isinstance(c, int):
-        return c
-    from fractions import Fraction  # only a fit has rational coefficients
-
-    if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
-    raise TypeError(f"unexpected coefficient type {type(c)!r}")
+    """An int as it is, a Fraction (only a fit has them) as its text, ``p/q``."""
+    return c if isinstance(c, int) else str(c)
 
 
 def _poly_json(p: Poly) -> dict:
@@ -66,34 +61,33 @@ def _group_json(g: FiniteAbelianGroup) -> dict:
     return {"spec": g.spec(), "label": g.label(), "order": g.order, "two_rank": g.two_rank}
 
 
-def _cmd_count(args) -> tuple[dict, list[str], int]:
+def _cmd_count(args, results: dict) -> tuple[list[str], int]:
     g = _load_graph(args["graph"])
     gamma = parse_group_spec(args["group"])
     n = oracle.count_group_flows(g, gamma, budget=args["budget"])
-    results = {"count": n, "group": _group_json(gamma),
-               "num_vertices": g.num_vertices, "num_edges": g.num_edges}
+    results.update(count=n, group=_group_json(gamma),
+                   num_vertices=g.num_vertices, num_edges=g.num_edges)
     human = [
         f"graph: {g.num_vertices} vertices, {g.num_edges} edges",
         f"group: {gamma.label()} (order {gamma.order}, 2-rank {gamma.two_rank})",
         f"nowhere-zero flows: {n}",
     ]
-    return results, human, EXIT_OK
+    return human, EXIT_OK
 
 
-def _cmd_poly(args) -> tuple[dict, list[str], int]:
+def _cmd_poly(args, results: dict) -> tuple[list[str], int]:
     g = _load_graph(args["graph"])
     _as_int(args["d_max"], "d-max", least=0)
     family = engine.flow_polynomial_family(g, args["d_max"])
     polys = [{"d": d, **_poly_json(p)} for d, p in family.items()]
-    results = {"d_max": args["d_max"], "polynomials": polys,
-               "graph_fingerprint": graph_fingerprint(g)}
+    results.update(d_max=args["d_max"], polynomials=polys, graph_fingerprint=graph_fingerprint(g))
     human = [f"graph: {g.num_vertices} vertices, {g.num_edges} edges"]
     for entry in polys:
         human.append(f"f_{entry['d']}(n) = {entry['text']}    coeffs {entry['coeffs']}")
-    return results, human, EXIT_OK
+    return human, EXIT_OK
 
 
-def _cmd_verify(args) -> tuple[dict, list[str], int]:
+def _cmd_verify(args, results: dict) -> tuple[list[str], int]:
     g = _load_graph(args["graph"])
     _as_int(args["max_order"], "max-order", least=1)
     gammas = abelian_groups_up_to(args["max_order"])
@@ -132,42 +126,43 @@ def _cmd_verify(args) -> tuple[dict, list[str], int]:
         f"{'all PASS' if all_pass else 'FAILURES found'}"
     )
     human.append(summary)
-    results = {"groups": group_rows, "pairs": pair_rows, "all_pass": all_pass}
-    return results, human, EXIT_OK if all_pass else EXIT_MISMATCH
+    results.update(groups=group_rows, pairs=pair_rows, all_pass=all_pass)
+    return human, EXIT_OK if all_pass else EXIT_MISMATCH
 
 
-def _cmd_equiv(args) -> tuple[dict, list[str], int]:
+def _cmd_equiv(args, results: dict) -> tuple[list[str], int]:
     g1 = _load_graph(args["graph"])
     g2 = _load_graph(args["other"])
     verdict = signatures_equivalent(g1, g2)
-    results = {"equivalent": verdict}
+    results["equivalent"] = verdict
     human = [f"equivalent: {'yes' if verdict else 'no'}"]
-    return results, human, EXIT_OK
+    return human, EXIT_OK
 
 
-def _cmd_switch(args) -> tuple[dict, list[str], int]:
+def _cmd_switch(args, results: dict) -> tuple[list[str], int]:
     g = _load_graph(args["graph"])
     xs = _parse_vertex_list(args["vertices"])
     out = switch(g, xs)
     text = graph_to_text(out)
-    results = {"graph_text": text, "switched_at": sorted(xs)}
+    results.update(graph_text=text, switched_at=sorted(xs))
     human = [text.rstrip("\n")]
-    return results, human, EXIT_OK
+    return human, EXIT_OK
 
 
-def _cmd_intflow(args) -> tuple[dict, list[str], int]:
+def _cmd_intflow(args, results: dict) -> tuple[list[str], int]:
     g = _load_graph(args["graph"])
     _as_int(args["n_max"], "n-max", least=1)
-    counts = []
+    # filled as the counts are made, so that a refusal's report keeps them
+    rows = results["counts"] = []
     for n in range(1, args["n_max"] + 1):
         try:
-            counts.append((n, oracle.count_integer_nflows(g, n, budget=args["budget"])))
+            count = oracle.count_integer_nflows(g, n, budget=args["budget"])
         except oracle.BudgetExceededError as exc:
             raise oracle.BudgetExceededError(f"n = {n}: {exc}") from None
-    results: dict = {"counts": [{"n": n, "count": c} for n, c in counts]}
-    human = [f"n={n}: {c}" for n, c in counts]
+        rows.append({"n": n, "count": count})
+    human = [f"n={row['n']}: {row['count']}" for row in rows]
     if args["fit"]:
-        fit = engine.fit_quasipolynomial(counts)
+        fit = engine.fit_quasipolynomial((row["n"], row["count"]) for row in rows)
         results["fit"] = {
             "p_even": _poly_json(fit.p_even),
             "p_odd": _poly_json(fit.p_odd),
@@ -177,9 +172,11 @@ def _cmd_intflow(args) -> tuple[dict, list[str], int]:
         human.append(f"fit even n: {fit.p_even}    coeffs {_poly_json(fit.p_even)['coeffs']}")
         human.append(f"fit odd n:  {fit.p_odd}    coeffs {_poly_json(fit.p_odd)['coeffs']}")
         human.append(f"fit validated: {'yes' if fit.validated else 'no'}")
-    return results, human, EXIT_OK
+    return human, EXIT_OK
 
 
+# Each handler fills ``results``, which main owns and reports, and returns its
+# human lines and exit code; what it filled before a refusal stays reported.
 _HANDLERS = {
     "count": _cmd_count,
     "poly": _cmd_poly,
@@ -277,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             command, args = _parse(argv)
             inputs = {k: v for k, v in args.items() if k != "json"}
-            results, human, code = _HANDLERS[command](args)
+            human, code = _HANDLERS[command](args, results)
     except oracle.BudgetExceededError as exc:
         message, code = str(exc), EXIT_BUDGET
     except ValueError as exc:

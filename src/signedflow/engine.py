@@ -27,7 +27,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable
 
-from .graph import SignedGraph, drop_edgeless_vertices, frontier_walk
+from .graph import SignedGraph, frontier_walk
 # unused here; perfbench/tracing.py wraps these names on this module, and
 # each name it wraps must resolve
 from .graph import connected_components, contract_edge, delete_edge, graph_fingerprint, make_edge_positive  # noqa: F401
@@ -104,20 +104,15 @@ def flow_polynomial(g: SignedGraph, d: int, *, cache: object = None) -> Poly:
     exactness check (``perfbench/checks.py``) passes ``cache={}``.
     """
     d = _as_int(d, "d", least=0)
-    return _at_q(_flow_poly_at_entry(g), d)
-
-
-def _flow_poly_at_entry(g: SignedGraph) -> _Bivariate:
-    """F(q, n) of ``g``.  Edgeless vertices are dropped first: each is a
-    factor 1, and so is an edgeless graph."""
-    g = drop_edgeless_vertices(g)
-    return _frontier_sum(g) if g.edges else {(0, 0): 1}
+    return _at_q(_frontier_sum(g), d)
 
 
 def _frontier_sum(g: SignedGraph) -> _Bivariate:
-    """F(q, n) of a graph whose every vertex has an edge, in one pass.
+    """F(q, n) of ``g``, in one pass.
 
-    The edges are taken along :func:`frontier_walk`.  Each connected
+    The edges are taken along :func:`frontier_walk`, which leaves out the
+    edgeless vertices: each is a factor 1, so the vertices counted are those
+    the walk opens, and an empty walk sums to 1.  Each connected
     component's edges are contiguous there and no vertex is open between
     two components, so a disconnected graph is summed as it is: F is
     multiplicative over components.  A state is a tuple
@@ -148,14 +143,17 @@ def _frontier_sum(g: SignedGraph) -> _Bivariate:
     so the P positive loops give a factor (1 - X)^P with X = 2^width.
     """
     walk = frontier_walk(g)
+    if not walk:
+        return {(0, 0): 1}
     m = g.num_edges
     width = (m + 9) // 8 * 8  # whole bytes, and |digit| <= 2^m < 2^(width - 1)
     x = 1 << width
-    open_now = components = 0
+    open_now = vertices = components = 0
     for _, _, _, opened, freed in walk:
+        vertices += len(opened)
         open_now += len(opened) - len(freed)
         components += not open_now
-    room = m - g.num_vertices + components + 1
+    room = m - vertices + components + 1
     level = width * room
 
     # every slot is free at the start, and again after the last edge
@@ -243,7 +241,7 @@ def flow_polynomial_family(g: SignedGraph, d_max: int) -> dict[int, Poly]:
     """``{d: f_d}`` for d = 0..d_max, from one F(q, n): f_d is F(2^d, n),
     see :func:`flow_polynomial`."""
     d_max = _as_int(d_max, "d_max", least=0)
-    f = _flow_poly_at_entry(g)
+    f = _frontier_sum(g)
     return {d: _at_q(f, d) for d in range(d_max + 1)}
 
 

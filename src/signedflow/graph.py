@@ -142,40 +142,17 @@ def switch(g: SignedGraph, x: Iterable[int]) -> SignedGraph:
 def is_edge_cut(g: SignedGraph, d: Iterable[int]) -> bool:
     """Whether ``d`` equals delta(X) for some vertex subset X.
 
-    Decided by 2-coloring: an edge in ``d`` forces its endpoints into
-    different sides, any other edge forces them into the same side.  A loop
-    has both ends on one side, so any ``d`` containing a loop fails.  An
-    edgeless vertex can take either side, so the coloring runs without
-    them (the edge ids stay) and allocates nothing per declared vertex.
+    Decided by 2-coloring: :func:`_search` flips the side across the edges
+    in ``d``, and then every edge must have its ends on different sides
+    exactly when it is in ``d``.  A loop has both ends on
+    one side, so any ``d`` containing a loop fails.  An edgeless vertex can
+    take either side, so the search runs without them (the edge ids stay)
+    and allocates nothing per declared vertex.
     """
     ids = _check_edge_ids(g, d)
-    for i in ids:
-        if g.edges[i].is_loop():
-            return False
     g = drop_edgeless_vertices(g)
-    adj: list[list[tuple[int, bool]]] = [[] for _ in range(g.num_vertices)]
-    for i, e in enumerate(g.edges):
-        if e.is_loop():
-            continue
-        cut = i in ids
-        adj[e.u].append((e.v, cut))
-        adj[e.v].append((e.u, cut))
-    side = [-1] * g.num_vertices
-    for root in range(g.num_vertices):
-        if side[root] != -1:
-            continue
-        side[root] = 0
-        stack = [root]
-        while stack:
-            w = stack.pop()
-            for nb, cut in adj[w]:
-                want = side[w] ^ 1 if cut else side[w]
-                if side[nb] == -1:
-                    side[nb] = want
-                    stack.append(nb)
-                elif side[nb] != want:
-                    return False
-    return True
+    _, _, side = _search(g, ids)
+    return all((side[e.u] != side[e.v]) == (i in ids) for i, e in enumerate(g.edges))
 
 
 def signatures_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:
@@ -250,8 +227,9 @@ def drop_edgeless_vertices(g: SignedGraph) -> SignedGraph:
     """``g`` without its edgeless vertices, the others relabeled densely in
     order and the edge order kept; ``g`` itself when every vertex has an edge.
 
-    No flow count depends on an edgeless vertex, so the engine and the oracle
-    call this once, at entry, and then never allocate per declared vertex.
+    No flow count depends on an edgeless vertex, so :func:`frontier_walk`,
+    which the engine and the oracle follow, and :func:`is_edge_cut` call
+    this first and then never allocate per declared vertex.
     """
     used = sorted({w for e in g.edges for w in (e.u, e.v)})
     if len(used) == g.num_vertices:
@@ -260,12 +238,53 @@ def drop_edgeless_vertices(g: SignedGraph) -> SignedGraph:
     return _derived(len(used), tuple(Edge(label[e.u], label[e.v], e.sign) for e in g.edges))
 
 
+def _search(
+    g: SignedGraph, flip: frozenset[int] = frozenset()
+) -> tuple[list[int], list[int], list[int]]:
+    """The one graph search: per vertex, its breadth-first number, the
+    vertex its search started from, and its side, which flips across the
+    edges in ``flip`` (0 at each start vertex).
+
+    Each search starts from an unnumbered vertex of least degree (a loop
+    counts twice, ties go to the lower id), so the start vertices tell the
+    components apart.
+    """
+    degree = [0] * g.num_vertices
+    adjacent: list[list[tuple[int, bool]]] = [[] for _ in range(g.num_vertices)]
+    for i, e in enumerate(g.edges):
+        degree[e.u] += 1
+        degree[e.v] += 1
+        if not e.is_loop():
+            flips = i in flip
+            adjacent[e.u].append((e.v, flips))
+            adjacent[e.v].append((e.u, flips))
+    number = [-1] * g.num_vertices
+    start = [0] * g.num_vertices
+    side = [0] * g.num_vertices
+    numbered = 0
+    for root in sorted(range(g.num_vertices), key=degree.__getitem__):
+        if number[root] >= 0:
+            continue
+        number[root] = numbered
+        numbered += 1
+        start[root] = root
+        queue = [root]
+        for w in queue:  # the queue grows while it is read
+            for x, flips in adjacent[w]:
+                if number[x] < 0:
+                    number[x] = numbered
+                    numbered += 1
+                    start[x] = root
+                    side[x] = side[w] ^ flips
+                    queue.append(x)
+    return number, start, side
+
+
 def frontier_order(g: SignedGraph) -> list[int]:
     """Edge ids of ``g`` in an order that keeps few vertices half done.
 
-    Vertices are numbered breadth-first; each search starts from an
-    unnumbered vertex of least degree (a loop counts twice, ties go to the
-    lower id).  Edges are then sorted by the number of their later
+    Vertices are numbered by :func:`_search`, breadth-first from a vertex of
+    least degree.  Edges are then sorted by the number of their later
     endpoint, ties kept in id order.  Processing edges in this order, a
     vertex is open from its first edge to its last, and the open vertices
     stay near a BFS layer rather than spreading over the whole graph.
@@ -273,29 +292,8 @@ def frontier_order(g: SignedGraph) -> list[int]:
     >>> frontier_order(SignedGraph.from_edges(4, [(2, 3, 1), (0, 1, -1), (1, 2, 1)]))
     [1, 2, 0]
     """
-    degree = [0] * g.num_vertices
-    adjacent: list[list[int]] = [[] for _ in range(g.num_vertices)]
-    for e in g.edges:
-        degree[e.u] += 1
-        degree[e.v] += 1
-        if not e.is_loop():
-            adjacent[e.u].append(e.v)
-            adjacent[e.v].append(e.u)
-    rank = [-1] * g.num_vertices
-    numbered = 0
-    for root in sorted(range(g.num_vertices), key=degree.__getitem__):
-        if rank[root] >= 0:
-            continue
-        rank[root] = numbered
-        numbered += 1
-        queue = [root]
-        for w in queue:  # the queue grows while it is read
-            for x in adjacent[w]:
-                if rank[x] < 0:
-                    rank[x] = numbered
-                    numbered += 1
-                    queue.append(x)
-    return sorted(range(g.num_edges), key=lambda i: max(rank[g.edges[i].u], rank[g.edges[i].v]))
+    number = _search(g)[0]
+    return sorted(range(g.num_edges), key=lambda i: max(number[g.edges[i].u], number[g.edges[i].v]))
 
 
 def frontier_walk(
@@ -309,11 +307,14 @@ def frontier_walk(
     A vertex takes a slot at its first edge and frees it after its last; a
     new vertex takes the slot freed most recently, else a new one, so there
     are as many slots as vertices ever open at once.  The engine and the
-    oracle both follow this one schedule.
+    oracle both follow this one schedule.  Edgeless vertices are dropped
+    first (the edge ids stay): they hold no slot, nothing is allocated per
+    declared vertex, and an edgeless graph gives an empty walk.
 
     >>> frontier_walk(SignedGraph.from_edges(3, [(1, 2, 1), (0, 1, -1), (2, 2, 1)]))
     [(1, 0, 1, ((0, 0), (1, 1)), (0,)), (0, 1, 0, ((0, 2),), (1,)), (2, 0, 0, (), (0,))]
     """
+    g = drop_edgeless_vertices(g)
     order = frontier_order(g)
     last = [-1] * g.num_vertices
     for pos, i in enumerate(order):
@@ -341,39 +342,25 @@ def frontier_walk(
 def connected_components(g: SignedGraph) -> list[SignedGraph]:
     """Split into vertex-disjoint components, each densely relabeled.
 
+    A component is the vertices one search of :func:`_search` reaches.
     Components are ordered by their smallest original vertex; isolated
     vertices form singleton components.  Edge order is preserved within
     each component.  A connected graph gives ``[g]``, the input itself.
     """
-    parent = list(range(g.num_vertices))
-
-    def find(w: int) -> int:
-        while parent[w] != w:
-            parent[w] = parent[parent[w]]
-            w = parent[w]
-        return w
-
-    parts = g.num_vertices
-    for e in g.edges:
-        ru, rv = find(e.u), find(e.v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-            parts -= 1
-    if parts == 1:
-        return [g]
-
-    comp, label, sizes = [0] * g.num_vertices, [0] * g.num_vertices, []
-    for v in range(g.num_vertices):
-        r = find(v)
-        if r == v:  # roots are component minima, so they come first: no sort
-            comp[v] = len(sizes)
+    start = _search(g)[1]
+    comp: dict[int, int] = {}  # start vertex -> component, in order of smallest vertex
+    label, sizes = [], []
+    for s in start:
+        c = comp.setdefault(s, len(sizes))
+        if c == len(sizes):
             sizes.append(0)
-        c = comp[v] = comp[r]
-        label[v] = sizes[c]
+        label.append(sizes[c])
         sizes[c] += 1
+    if len(sizes) == 1:
+        return [g]
     edges: list[list[Edge]] = [[] for _ in sizes]
     for e in g.edges:
-        edges[comp[e.u]].append(Edge(label[e.u], label[e.v], e.sign))
+        edges[comp[start[e.u]]].append(Edge(label[e.u], label[e.v], e.sign))
     return [_derived(n, tuple(es)) for n, es in zip(sizes, edges)]
 
 
@@ -420,6 +407,6 @@ def graph_to_text(g: SignedGraph) -> str:
 
 def graph_fingerprint(g: SignedGraph) -> str:
     """Stable digest of the graph's canonical text form."""
-    import hashlib  # here, not at the top: only poly and verify need it
+    import hashlib  # here, not at the top: only poly needs it
 
     return hashlib.sha256(graph_to_text(g).encode("ascii")).hexdigest()

@@ -17,7 +17,6 @@ from .graph import (
     Orientation,
     SignedGraph,
     default_orientation,
-    drop_edgeless_vertices,
     frontier_walk,
 )
 from .groups import FiniteAbelianGroup, GroupElement
@@ -79,7 +78,8 @@ def _count_flows(
     closing edge reads (``mult`` with ``neg`` or ``ids``, or a loop's tally
     of its k * x), so the step bound below and the memory are unchanged.
 
-    Edgeless vertices are dropped first.  Before any table is built, one
+    The walk leaves out edgeless vertices, so an edgeless graph gives an
+    empty walk, which counts 1.  Otherwise, before any table is built, one
     planning pass over the walk gives each edge its record: the place
     values of its ends' slots, its tau values and how many ends it closes,
     a closing end first, and for each end whose next-to-last edge it is,
@@ -94,11 +94,10 @@ def _count_flows(
     count then only reads the records.
     """
     budget = _as_int(budget, "budget", least=0)
-    g = drop_edgeless_vertices(g)
-    if not g.edges:
+    walk = frontier_walk(g)
+    if not walk:
         return 1
     r, num_values = gamma.order, sum(map(len, values))
-    walk = frontier_walk(g)
     plan: list[tuple[int, int, int, int, int]] = []
     # per edge and end (u, v), the factor of the end's last edge there if this
     # is the end's next-to-last edge: tau at that end, tau0 + tau1 for a loop

@@ -12,6 +12,7 @@ from signedflow import (
     SignedGraph,
     abelian_groups_up_to,
     cli,
+    count_integer_nflows,
     nonzero_sum_count,
     parse_graph_text,
     signatures_equivalent,
@@ -126,6 +127,17 @@ def test_integer_options_are_ascii_digits(capsys, write_graph, command, option, 
     assert capsys.readouterr().err == f"error: {option[2:]} must be an integer, got {value!r}\n"
 
 
+def test_bad_sign_in_a_graph_file_names_the_file_and_line(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("vertices 2\nedge 0 1 x\n")
+    message = f"{path}: line 2: sign must be '+' or '-', got 'x'"
+    assert cli.main(["count", "--graph", str(path), "--group", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    code, out = run_cli(capsys, "count", "--graph", str(path), "--group", "2", "--json")
+    assert code == 2
+    assert json.loads(out)["message"] == message
+
+
 class TestOptions:
     @pytest.mark.parametrize("argv, message", [
         (["verify", "--graph", "G", "--budget", "1_000"], "budget must be an integer, got '1_000'"),
@@ -142,6 +154,11 @@ class TestOptions:
         assert code == 2
         report = json.loads(out)
         assert (report["command"], report["status"], report["message"]) == (argv[0], "error", message)
+
+    def test_a_flag_takes_no_value(self, capsys, write_graph):
+        argv = ["count", "--graph", write_graph(NEG_LOOP), "--group", "2", "--json=yes"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: --json takes no value\n"
 
     def test_equals_form_and_last_repeat_wins(self, capsys, write_graph):
         code, out = run_cli(capsys, "count", f"--graph={write_graph(NEG_LOOP)}", "--group=5",
@@ -299,7 +316,7 @@ class TestVerify:
 
 class TestInternalError:
     def test_unexpected_error_exits_four(self, capsys, write_graph, monkeypatch):
-        def crash(args):
+        def crash(args, results):
             raise RecursionError("maximum recursion depth exceeded")
 
         monkeypatch.setitem(cli._HANDLERS, "count", crash)
@@ -476,6 +493,20 @@ class TestIntflow:
         assert "fit even n: n - 2" in out
         assert "fit odd n:  n - 1" in out
 
+    def test_rational_fit_that_misses_its_held_out_samples(self, capsys, write_graph):
+        # one vertex with five negative loops and one positive loop
+        graph = SignedGraph(1, [(0, 0, -1)] * 5 + [(0, 0, 1)])
+        argv = ["intflow", "--graph", write_graph(graph), "--n-max", "9", "--fit"]
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        fit = json.loads(out)["results"]["fit"]
+        assert fit["p_even"]["coeffs"] == [40700, -31425, "11075/2"]
+        assert fit["p_odd"]["coeffs"] == ["-41245/2", "65345/2", "-27595/2", "3495/2"]
+        assert fit["validated"] is False
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert "fit validated: no" in out.splitlines()
+
     def test_underdetermined_fit_is_an_input_error(self, capsys, write_graph):
         code, _ = run_cli(
             capsys, "intflow", "--graph", write_graph(POS_LOOP), "--n-max", "4", "--fit"
@@ -499,6 +530,17 @@ class TestIntflow:
         code, out = run_cli(capsys, *argv, "--json")
         assert code == 3
         assert json.loads(out)["message"] == message
+
+
+    def test_budget_refusal_keeps_the_counts_made(self, capsys, write_graph):
+        argv = ["intflow", "--graph", write_graph(DIGON_PM), "--n-max", "100000", "--budget", "1000"]
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 3
+        report = json.loads(out)
+        assert report["message"].startswith("n = 31: ")
+        assert report["results"] == {"counts": [
+            {"n": n, "count": count_integer_nflows(DIGON_PM, n)} for n in range(1, 31)
+        ]}
 
 
 class TestJsonDeterminism:

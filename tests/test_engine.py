@@ -22,7 +22,7 @@ from signedflow import (
     switch,
 )
 import signedflow.engine as engine
-from signedflow.engine import _flow_poly_at_entry
+from signedflow.engine import _frontier_sum
 from signedflow.oracle import count_double_sum_solutions
 
 from corpusgen import (
@@ -250,7 +250,7 @@ class TestFrontierStates:
 
         monkeypatch.setattr(engine, "_contract", checked)
         for graph in acceptance_corpus() + [prism(5, "cycle"), prism(4, "rung")]:
-            _flow_poly_at_entry(graph)
+            _frontier_sum(graph)
 
 
 class TestSubsetExpansion:
@@ -258,17 +258,17 @@ class TestSubsetExpansion:
 
     def test_matches_on_the_acceptance_corpus(self):
         for graph in acceptance_corpus():
-            assert _flow_poly_at_entry(graph) == subset_expansion(graph)
+            assert _frontier_sum(graph) == subset_expansion(graph)
 
     @given(loop_and_multi_edge_graphs(max_edges=12))
     @settings(max_examples=40, deadline=None)
     def test_matches_on_loop_and_multi_edge_heavy_graphs(self, graph):
-        assert _flow_poly_at_entry(graph) == subset_expansion(graph)
+        assert _frontier_sum(graph) == subset_expansion(graph)
 
     @given(signed_graphs(max_vertices=6, max_edges=9))
     @settings(max_examples=60, deadline=None)
     def test_matches_on_random_graphs(self, graph):
-        assert _flow_poly_at_entry(graph) == subset_expansion(graph)
+        assert _frontier_sum(graph) == subset_expansion(graph)
 
 
 class TestFlowPolynomial:

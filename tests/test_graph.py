@@ -86,6 +86,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="tau must be an integer"):
             Orientation(((1.0, -1),))
 
+    def test_rejects_tau_outside_plus_minus_one(self):
+        with pytest.raises(ValueError) as exc:
+            Orientation(((2, 1),))
+        assert str(exc.value) == "edge 0: tau values must be +1 or -1, got (2, 1)"
+
     def test_integer_types_become_ints(self):
         class Index:
             def __init__(self, value):
@@ -369,7 +374,37 @@ class TestMakeEdgePositive:
             assert signatures_equivalent(graph, out)
 
 
+def reachability_components(graph: SignedGraph) -> list[SignedGraph]:
+    """Independent reference: each vertex's reachable set, grown edge by edge
+    until it stops growing; then each set relabeled in vertex order."""
+    parts = []
+    for v in range(graph.num_vertices):
+        if any(v in part for part in parts):
+            continue
+        part, grown = {v}, True
+        while grown:
+            grown = False
+            for e in graph.edges:
+                if (e.u in part) != (e.v in part):
+                    part |= {e.u, e.v}
+                    grown = True
+        parts.append(part)
+    out = []
+    for part in parts:  # in order of smallest vertex, as v ascends
+        label = {w: i for i, w in enumerate(sorted(part))}
+        out.append(g(len(part), *((label[e.u], label[e.v], e.sign) for e in graph.edges if e.u in part)))
+    return out
+
+
 class TestConnectedComponents:
+    @given(signed_graphs(max_vertices=7, max_edges=8))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reachability(self, graph):
+        comps = connected_components(graph)
+        assert comps == reachability_components(graph)
+        if len(comps) == 1:
+            assert comps[0] is graph
+
     def test_splits_disjoint_pieces(self):
         graph = g(5, (0, 2, 1), (1, 3, -1), (1, 1, -1))
         comps = connected_components(graph)
@@ -492,6 +527,17 @@ class TestFrontierWalk:
         assert not holder and not leaves
         used = {p for _, su, sv, _, _ in walk for p in (su, sv)}
         assert used == set(range(open_vertex_peak(graph, order)))
+
+    @given(signed_graphs(max_vertices=5, max_edges=7), st.integers(0, 4), st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_edgeless_vertices_change_nothing(self, graph, extra, rng):
+        # the graph's vertices spread, in order, among extra isolated ones
+        label = sorted(rng.sample(range(graph.num_vertices + extra), graph.num_vertices))
+        padded = g(graph.num_vertices + extra,
+                   *((label[e.u], label[e.v], e.sign) for e in graph.edges))
+        assert drop_edgeless_vertices(padded) == drop_edgeless_vertices(graph)
+        assert frontier_walk(padded) == frontier_walk(drop_edgeless_vertices(padded))
+        assert frontier_walk(padded) == frontier_walk(graph)
 
     @given(st.lists(signed_graphs(max_vertices=4, max_edges=5), min_size=1, max_size=4), st.randoms())
     @settings(max_examples=100, deadline=None)
