@@ -407,6 +407,14 @@ def graph_to_text(g: SignedGraph) -> str:
 
 def graph_fingerprint(g: SignedGraph) -> str:
     """Stable digest of the graph's canonical text form."""
-    import hashlib  # here, not at the top: only poly needs it
+    # CPython's own SHA-256, which loads in no time, where hashlib loads
+    # OpenSSL (about 3 ms) for this one small digest; only poly needs it
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256  # a build without either
 
-    return hashlib.sha256(graph_to_text(g).encode("ascii")).hexdigest()
+    return sha256(graph_to_text(g).encode("ascii")).hexdigest()

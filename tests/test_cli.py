@@ -1,4 +1,5 @@
 import errno
+import gc
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from signedflow import (
 )
 from signedflow.graph import graph_fingerprint, graph_to_text
 
-from corpusgen import BARBELL, DIGON_PM, NEG_LOOP, POS_LOOP, TRIANGLE, g
+from corpusgen import BARBELL, DIGON_PM, NEG_LOOP, POS_LOOP, TRIANGLE, g, k4_with_signs
 
 
 @pytest.fixture
@@ -184,10 +185,35 @@ class TestOptions:
     def test_run_reads_sys_argv(self, capsys, write_graph, monkeypatch):
         argv = ["signedflow", "count", "--graph", write_graph(NEG_LOOP), "--group", "2,2"]
         monkeypatch.setattr("sys.argv", argv)
-        with pytest.raises(SystemExit) as exc:
-            cli.run()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.run()
+        finally:
+            gc.unfreeze()  # run() froze every object alive; the session goes on collecting
         assert exc.value.code == 0
         assert "nowhere-zero flows: 3" in capsys.readouterr().out
+
+    def test_run_in_a_child_process(self, tmp_path, write_graph):
+        # run() ends by freezing every object and raising SystemExit: the
+        # report, larger than a pipe buffer, still arrives whole, and every
+        # exit code still reaches the parent
+        def child(*argv):
+            src = Path(cli.__file__).resolve().parent.parent
+            return subprocess.run([sys.executable, "-m", "signedflow.cli", *argv, "--json"],
+                                  capture_output=True, text=True, timeout=60,
+                                  env=dict(os.environ, PYTHONPATH=str(src)))
+
+        loops = write_graph(g(1, *[(0, 0, 1)] * 2000))
+        proc = child("poly", "--graph", loops)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(proc.stdout) > 2**16
+        assert json.loads(proc.stdout)["results"]["polynomials"][0]["coeffs"][-1] == 1
+        bad = tmp_path / "bad.txt"
+        bad.write_text("vertices 1\nedge 0 0 *\n")
+        assert child("poly", "--graph", str(bad)).returncode == 2
+        proc = child("count", "--graph", write_graph(TRIANGLE), "--group", "9", "--budget", "5")
+        assert proc.returncode == 3
+        assert json.loads(proc.stdout)["status"] == "error"
 
 
 class TestPoly:
@@ -313,10 +339,30 @@ class TestVerify:
         assert report["results"]["all_pass"] is True
         assert len(report["results"]["groups"]) == 7
 
+    def test_budget_refusal_names_its_group_and_keeps_the_counts_made(self, capsys, write_graph):
+        # the 13 groups up to Z3 x Z3 fit the budget; Z5 x Z2 does not
+        k4 = k4_with_signs([1, -1, 1, 1, -1, 1])
+        argv = ["verify", "--graph", write_graph(k4), "--max-order", "16", "--budget", "3000"]
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 3
+        report = json.loads(out)
+        assert report["message"].startswith("Z5 x Z2: ")
+        groups = report["results"].pop("groups")
+        assert report["results"] == {}
+        assert [row["group"]["label"] for row in groups] == [
+            "Z1", "Z2", "Z3", "Z4", "Z2 x Z2", "Z5", "Z3 x Z2", "Z7", "Z8", "Z4 x Z2",
+            "Z2 x Z2 x Z2", "Z9", "Z3 x Z3"]
+        assert all(row["pass"] for row in groups)
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "Z3 x Z3 (order 9, d=0, n=9): oracle=56 poly=56 PASS"
+        assert len(captured.out.splitlines()) == 13
+        assert captured.err == f"error: {report['message']}\n"
+
 
 class TestInternalError:
     def test_unexpected_error_exits_four(self, capsys, write_graph, monkeypatch):
-        def crash(args, results):
+        def crash(args, results, human):
             raise RecursionError("maximum recursion depth exceeded")
 
         monkeypatch.setitem(cli._HANDLERS, "count", crash)
@@ -541,6 +587,10 @@ class TestIntflow:
         assert report["results"] == {"counts": [
             {"n": n, "count": count_integer_nflows(DIGON_PM, n)} for n in range(1, 31)
         ]}
+        # and human mode prints the same counts before the error
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().out.splitlines() == [
+            f"n={row['n']}: {row['count']}" for row in report["results"]["counts"]]
 
 
 class TestJsonDeterminism:

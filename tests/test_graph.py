@@ -1,6 +1,9 @@
+import hashlib
 import itertools
 import re
+import sys
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -632,3 +635,12 @@ class TestTextFormat:
     def test_fingerprint_distinguishes_signs(self):
         assert graph_fingerprint(POS_LOOP) != graph_fingerprint(NEG_LOOP)
         assert graph_fingerprint(POS_LOOP) == graph_fingerprint(g(1, (0, 0, 1)))
+
+    # graph_fingerprint takes CPython's own SHA-256 (_sha2, or _sha256 before
+    # 3.12); with both blocked it falls back to hashlib's
+    @pytest.mark.parametrize("blocked", [(), ("_sha2", "_sha256")])
+    @given(signed_graphs(max_vertices=6, max_edges=9))
+    def test_fingerprint_is_the_sha256_of_the_text(self, blocked, graph):
+        expected = hashlib.sha256(graph_to_text(graph).encode("ascii")).hexdigest()
+        with mock.patch.dict(sys.modules, dict.fromkeys(blocked)):
+            assert graph_fingerprint(graph) == expected
