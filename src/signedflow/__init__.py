@@ -4,83 +4,58 @@ The oracle module counts the flows over one group with a frontier transfer
 matrix; the engine computes, in one frontier pass over the subset expansion
 that deletion-contraction unrolls to, the polynomial family giving the same
 counts for every finite abelian group with a fixed 2-rank.
+
+Each public name is imported from its module on first use (PEP 562), so
+``import signedflow.cli`` loads only what the command it runs needs: a
+``count`` never loads the engine or the polynomial module.
 """
 
-from .engine import (
-    QuasiPolynomialFit,
-    double_sum_solutions,
-    fit_quasipolynomial,
-    flow_polynomial,
-    flow_polynomial_family,
-    nonzero_sum_count,
-)
-from .graph import (
-    Edge,
-    Orientation,
-    SignedGraph,
-    connected_components,
-    contract_edge,
-    cycle_sign,
-    default_orientation,
-    delete_edge,
-    graph_fingerprint,
-    graph_to_text,
-    is_edge_cut,
-    make_edge_positive,
-    parse_graph_text,
-    reverse_edge,
-    signatures_equivalent,
-    switch,
-)
-from .groups import (
-    FiniteAbelianGroup,
-    abelian_groups_of_order,
-    abelian_groups_up_to,
-    group_pairs_same_invariants,
-    parse_group_spec,
-)
-from .oracle import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    count_group_flows,
-    count_integer_nflows,
-    verify_flow,
-)
-from .polynomial import Poly, interpolate
+# public name -> the module of this package that defines it
+_MODULE_OF = {
+    "BudgetExceededError": "oracle",
+    "DEFAULT_BUDGET": "oracle",
+    "Edge": "graph",
+    "FiniteAbelianGroup": "groups",
+    "Orientation": "graph",
+    "Poly": "polynomial",
+    "QuasiPolynomialFit": "engine",
+    "SignedGraph": "graph",
+    "abelian_groups_of_order": "groups",
+    "abelian_groups_up_to": "groups",
+    "connected_components": "graph",
+    "contract_edge": "graph",
+    "count_group_flows": "oracle",
+    "count_integer_nflows": "oracle",
+    "cycle_sign": "graph",
+    "default_orientation": "graph",
+    "delete_edge": "graph",
+    "double_sum_solutions": "engine",
+    "fit_quasipolynomial": "engine",
+    "flow_polynomial": "engine",
+    "flow_polynomial_family": "engine",
+    "graph_fingerprint": "graph",
+    "graph_to_text": "graph",
+    "group_pairs_same_invariants": "groups",
+    "interpolate": "polynomial",
+    "is_edge_cut": "graph",
+    "make_edge_positive": "graph",
+    "nonzero_sum_count": "engine",
+    "parse_graph_text": "graph",
+    "parse_group_spec": "groups",
+    "reverse_edge": "graph",
+    "signatures_equivalent": "graph",
+    "switch": "graph",
+    "verify_flow": "oracle",
+}
 
-__all__ = [
-    "BudgetExceededError",
-    "DEFAULT_BUDGET",
-    "Edge",
-    "FiniteAbelianGroup",
-    "Orientation",
-    "Poly",
-    "QuasiPolynomialFit",
-    "SignedGraph",
-    "abelian_groups_of_order",
-    "abelian_groups_up_to",
-    "connected_components",
-    "contract_edge",
-    "count_group_flows",
-    "count_integer_nflows",
-    "cycle_sign",
-    "default_orientation",
-    "delete_edge",
-    "double_sum_solutions",
-    "fit_quasipolynomial",
-    "flow_polynomial",
-    "flow_polynomial_family",
-    "graph_fingerprint",
-    "graph_to_text",
-    "group_pairs_same_invariants",
-    "interpolate",
-    "is_edge_cut",
-    "make_edge_positive",
-    "nonzero_sum_count",
-    "parse_graph_text",
-    "parse_group_spec",
-    "reverse_edge",
-    "signatures_equivalent",
-    "switch",
-    "verify_flow",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value

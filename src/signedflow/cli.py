@@ -3,10 +3,13 @@
 Reports are printed either as human-readable lines or, with --json, as a
 deterministic JSON document (sorted keys, exact decimal integers only).
 
-Options are read by one table, ``_OPTIONS``, rather than by argparse,
-whose import and parser building took about 4 ms of every command's
-start-up; a refusal is then an input error like any other, and a JSON
-report under --json.
+A command's process loads only the modules it runs.  Options are read by
+one table, ``_OPTIONS``, rather than by argparse, whose import and parser
+building took about 4 ms of every command's start-up; a refusal is then an
+input error like any other, and a JSON report under --json.  JSON reports
+are written by ``_json_text``, not by the json module (about 2 ms to
+import).  The engine, and the polynomial module with it, is imported only
+by poly, verify and intflow --fit.
 
 Exit codes: 0 success / all-pass, 1 verification mismatch, 2 input error,
 3 search budget exceeded, 4 internal error or a report that cannot be written.
@@ -15,14 +18,12 @@ Exit codes: 0 success / all-pass, 1 verification mismatch, 2 input error,
 from __future__ import annotations
 
 import gc
-import json
 import sys
 
-from . import engine, oracle
+from . import oracle
 from .graph import (SignedGraph, graph_fingerprint, graph_to_text, parse_graph_text,
                     signatures_equivalent, switch)
 from .groups import FiniteAbelianGroup, abelian_groups_up_to, group_pairs_same_invariants, parse_group_spec
-from .polynomial import Poly
 from .values import _as_int, _int_text
 
 EXIT_OK = 0
@@ -54,7 +55,7 @@ def _coeff_json(c) -> int | str:
     return c if isinstance(c, int) else str(c)
 
 
-def _poly_json(p: Poly) -> dict:
+def _poly_json(p) -> dict:
     return {"coeffs": [_coeff_json(c) for c in p.coeff_list()], "text": str(p)}
 
 
@@ -79,6 +80,8 @@ def _cmd_count(args, results: dict, human: list[str]) -> int:
 def _cmd_poly(args, results: dict, human: list[str]) -> int:
     g = _load_graph(args["graph"])
     _as_int(args["d_max"], "d-max", least=0)
+    from . import engine
+
     family = engine.flow_polynomial_family(g, args["d_max"])
     polys = [{"d": d, **_poly_json(p)} for d, p in family.items()]
     results.update(d_max=args["d_max"], polynomials=polys, graph_fingerprint=graph_fingerprint(g))
@@ -92,6 +95,8 @@ def _cmd_verify(args, results: dict, human: list[str]) -> int:
     g = _load_graph(args["graph"])
     _as_int(args["max_order"], "max-order", least=1)
     gammas = abelian_groups_up_to(args["max_order"])
+    from . import engine
+
     family = engine.flow_polynomial_family(g, max(gamma.two_rank for gamma in gammas))
     # filled as the counts are made, so that a refusal's report keeps them
     group_rows = results["groups"] = []
@@ -166,6 +171,8 @@ def _cmd_intflow(args, results: dict, human: list[str]) -> int:
         rows.append({"n": n, "count": count})
         human.append(f"n={n}: {count}")
     if args["fit"]:
+        from . import engine
+
         fit = engine.fit_quasipolynomial((row["n"], row["count"]) for row in rows)
         results["fit"] = {
             "p_even": _poly_json(fit.p_even),
@@ -250,21 +257,58 @@ def _usage() -> str:
     return "\n".join(lines)
 
 
-def _print_report(command: str, inputs: dict, results: dict, as_json: bool,
-                  human: list[str], message: str | None) -> None:
-    """Print the report and flush it; a message makes it an error report."""
+def _json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for the types a report
+    holds: dicts with text keys, lists, tuples, ints, text, bools and None.
+    Any other type, a float among them, is a ``TypeError``."""
+    # json.dumps escapes text with this function; taking it from _json loads
+    # none of the json package, and only a --json report loads _json at all
+    try:
+        from _json import encode_basestring_ascii as quote
+    except ImportError:  # an interpreter built without json's C part
+        from json.encoder import py_encode_basestring_ascii as quote
+
+    def text(value, indent: str) -> str:
+        if isinstance(value, str):
+            return quote(value)
+        if value is None or value is True or value is False:
+            return "null" if value is None else "true" if value else "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        inner = indent + "  "
+        if isinstance(value, (list, tuple)):
+            parts, brackets = [text(item, inner) for item in value], "[]"
+        elif isinstance(value, dict):
+            for key in value:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts = [f"{quote(key)}: {text(value[key], inner)}" for key in sorted(value)]
+            brackets = "{}"
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if not parts:
+            return brackets
+        return brackets[0] + inner + ("," + inner).join(parts) + indent + brackets[1]
+
+    return text(value, "\n")
+
+
+def _report_text(command: str, inputs: dict, results: dict, as_json: bool,
+                 human: list[str], message: str | None) -> tuple[str, str]:
+    """The report's text for stdout and for stderr; a message makes it an
+    error report."""
     if as_json:
         status = "ok" if message is None else "error"
         report = {"command": command, "inputs": inputs, "results": results, "status": status}
         if message is not None:
             report["message"] = message
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for line in human:
-            print(line)
-        if message is not None:
-            print(f"error: {message}", file=sys.stderr)
-    sys.stdout.flush()
+        return _json_text(report) + "\n", ""
+    err = "" if message is None else f"error: {message}\n"
+    return "".join(f"{line}\n" for line in human), err
+
+
+def _internal_error(exc: Exception) -> str:
+    return f"internal error: {type(exc).__name__}: {exc}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -287,9 +331,19 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         # anything else is a fault of the program: report it in one line,
         # never as a traceback or as the mismatch code
-        message, code = f"internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL
+        message, code = _internal_error(exc), EXIT_INTERNAL
+    # the whole text is built before any of it is written, so a report that
+    # cannot be built prints nothing but its error
     try:
-        _print_report(command, inputs, results, as_json, human, message)
+        out, err = _report_text(command, inputs, results, as_json, human, message)
+    except Exception as exc:
+        out, err, code = "", f"error: {_internal_error(exc)}\n", EXIT_INTERNAL
+    try:
+        if out:
+            sys.stdout.write(out)
+        if err:
+            sys.stderr.write(err)
+        sys.stdout.flush()
     except OSError as exc:  # a closed pipe or a full disk
         try:
             print(f"error: cannot write the report: {exc}", file=sys.stderr)

@@ -24,8 +24,8 @@ follows the frontier width, not the edge order.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from math import comb
-from typing import Iterable
 
 from .graph import SignedGraph, frontier_walk
 # unused here; perfbench/tracing.py wraps these names on this module, and

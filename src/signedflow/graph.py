@@ -10,17 +10,16 @@ may return its input.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .values import Value, _as_int, _int_text
 
 
-class Edge(NamedTuple):
+class Edge(namedtuple("Edge", "u v sign")):
     """Undirected signed edge; slot 0 is the half-edge at ``u``, slot 1 at ``v``."""
 
-    u: int
-    v: int
-    sign: int
+    __slots__ = ()
 
     def is_loop(self) -> bool:
         return self.u == self.v

@@ -7,8 +7,8 @@ and immutable.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator
 from math import prod
-from typing import Iterable, Iterator
 
 from .values import Value, _as_int, _int_text
 

@@ -6,16 +6,14 @@ outright so no count can ever pass through floating point.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Union
+from collections.abc import Iterable
 
 from .values import Value, _as_int
 
-# fractions (and the decimal module it loads) is imported only where a
-# rational value can occur, so an all-integer run never loads it
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-Coeff = Union[int, "Fraction"]
+# What the annotations below mean by a coefficient.  They are never
+# evaluated, and fractions (and the decimal module it loads) is imported
+# only where a rational value can occur, so an all-integer run never loads it.
+Coeff = "int | Fraction"
 
 
 def _as_exact(c) -> Coeff:

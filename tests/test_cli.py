@@ -4,9 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signedflow import (
     Poly,
@@ -378,6 +382,74 @@ class TestInternalError:
         report = json.loads(out)
         assert report["status"] == "error"
         assert report["message"].startswith("internal error: RecursionError")
+
+    @pytest.mark.parametrize("value, kind", [({1, 2}, "set"), (1.5, "float"),
+                                             (Fraction(1, 2), "Fraction")])
+    def test_a_report_that_cannot_be_written_exits_four(self, capsys, write_graph, monkeypatch,
+                                                        value, kind):
+        def stand_in(args, results, human):
+            results["count"] = value
+            human.append("nowhere-zero flows: ?")
+            return 0
+
+        monkeypatch.setitem(cli._HANDLERS, "count", stand_in)
+        argv = ["count", "--graph", write_graph(NEG_LOOP), "--group", "2"]
+        assert cli.main([*argv, "--json"]) == 4
+        captured = capsys.readouterr()
+        # nothing of the report is printed, and the error is one line
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: internal error: TypeError: Object of type {kind} is not JSON serializable\n"
+        )
+        # human mode does not print results, so it has nothing to refuse
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "nowhere-zero flows: ?\n"
+
+
+# What a report may hold: dicts with text keys, lists, tuples, ints (also
+# past the 4,300 digits Python prints by default), text over all of Unicode
+# (quotes, backslashes, control characters, lone surrogates), bools and None.
+_text = st.text(st.characters(exclude_categories=()))
+_report_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _text
+    | st.builds(lambda a, k: a * 10**k + a, st.integers(), st.integers(4290, 4400)),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_text, inner),
+    max_leaves=30,
+)
+
+
+@pytest.fixture(scope="module")
+def any_int_digits():
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10 has no limit
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as main does
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+class TestJsonText:
+    # _json_text escapes text with _json's encode_basestring_ascii, as
+    # json.dumps does; with _json blocked it falls back to json.encoder's
+    # pure-Python one
+    @pytest.mark.parametrize("blocked", [(), ("_json",)])
+    @given(value=_report_values)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_json_dumps(self, any_int_digits, blocked, value):
+        expected = json.dumps(value, sort_keys=True, indent=2)
+        with mock.patch.dict(sys.modules, dict.fromkeys(blocked)):
+            assert cli._json_text(value) == expected
+
+    @pytest.mark.parametrize("value", [1.0, float("nan"), Fraction(1, 3), {1}, b"x", {"a": [0, 2.5]}])
+    def test_refuses_what_a_report_cannot_hold(self, value):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli._json_text(value)
+
+    @pytest.mark.parametrize("key", [1, None, ("a",)])
+    def test_refuses_keys_other_than_text(self, key):
+        with pytest.raises(TypeError, match="^keys must be str"):
+            cli._json_text({key: 0})
 
 
 class _Unwritable:

@@ -1,13 +1,15 @@
 """What a CLI process imports: every command pays for the modules that
-``import signedflow.cli`` loads, so heavy ones are loaded only by the
-commands that use them.
+``import signedflow.cli`` loads, so each command loads only what it runs.
 
 The checks compare ``sys.modules`` before and after each step in a fresh
-interpreter, because what ``site`` loads at start-up differs between
-machines.
+interpreter started with ``-S``: ``site`` preloads different modules on
+different machines (a ``.pth`` file that loads ``certifi`` brings in about
+100, ``typing`` and ``re`` among them), and without it nothing the program
+loads is hidden.  The child uses only modules that the interpreter has
+loaded before ``site`` would run.
 """
 
-import json
+import importlib
 import os
 import subprocess
 import sys
@@ -19,49 +21,66 @@ import signedflow
 
 SRC = Path(signedflow.__file__).resolve().parent.parent
 
-# dataclasses pulls in inspect, ast, dis and tokenize; fractions pulls in decimal
-HEAVY = {"dataclasses", "inspect", "hashlib", "fractions", "decimal"}
+# json, typing, re and enum each take milliseconds; dataclasses pulls in inspect,
+# ast, dis and tokenize; hashlib loads OpenSSL; fractions pulls in decimal
+HEAVY = {"json", "typing", "re", "enum", "decimal", "fractions", "hashlib", "argparse",
+         "dataclasses", "inspect"}
+ENGINE = {"signedflow.engine", "signedflow.polynomial"}
 
+# Each argument is one step, its name and its argv joined by newlines; the
+# child prints one line per step: its name, then every module loaded since
+# before the import, separated by blanks.
 CHILD = """
-import contextlib, io, json, sys
+import io, sys
 before = set(sys.modules)
-added = {}
 import signedflow.cli as cli
-added["import"] = sorted(set(sys.modules) - before)
-for step, argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0, step
-    added[step] = sorted(set(sys.modules) - before)
-print(json.dumps(added))
+print("import", *sorted(set(sys.modules) - before))
+for step in sys.argv[1:]:
+    name, *argv = step.split("\\n")
+    sys.stdout = io.StringIO()
+    code = cli.main(argv)
+    sys.stdout = sys.__stdout__
+    assert code == 0, name
+    print(name, *sorted(set(sys.modules) - before))
 """
 
 
 @pytest.fixture(scope="module")
 def added(tmp_path_factory):
-    graph = tmp_path_factory.mktemp("startup") / "digon.txt"
+    """Modules added by the import and by each step.  count, switch, equiv
+    and intflow run one after another in one process; poly, verify and
+    intflow --fit each run in a process of their own."""
+    folder = tmp_path_factory.mktemp("startup")
+    graph = folder / "digon.txt"
     graph.write_text("vertices 2\nedge 0 1 +\nedge 0 1 +\n")
     g = ["--graph", str(graph), "--json"]
-    steps = [
+    light = [
         ("count", ["count", *g, "--group", "3"]),
+        ("switch", ["switch", *g, "--vertices", "0"]),
+        ("equiv", ["equiv", *g, "--other", str(graph)]),
         ("intflow", ["intflow", *g, "--n-max", "6"]),
-        ("verify", ["verify", *g, "--max-order", "4"]),
-        ("poly", ["poly", *g]),
-        ("fit", ["intflow", *g, "--n-max", "6", "--fit"]),
     ]
+    runs = [light, [("poly", ["poly", *g])], [("verify", ["verify", *g, "--max-order", "4"])],
+            [("fit", ["intflow", *g, "--n-max", "6", "--fit"])]]
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(steps)], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    return {step: set(mods) for step, mods in json.loads(out).items()}
+    added = {}
+    for steps in runs:
+        out = subprocess.run([sys.executable, "-S", "-c", CHILD,
+                              *("\n".join([name, *argv]) for name, argv in steps)],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        for line in out.splitlines():
+            name, *modules = line.split(" ")
+            added[name] = set(modules)
+    return added
 
 
 def test_heavy_modules_load_only_where_used(added):
     assert "signedflow.cli" in added["import"]
     assert not added["import"] & HEAVY
-    assert not added["count"] & HEAVY
-    assert not added["intflow"] & HEAVY
-    assert "fractions" in added["fit"] - added["verify"]
-    assert "hashlib" not in added["fit"]
-    assert not added["poly"] & HEAVY
+    for step in ("count", "switch", "equiv", "intflow", "poly", "verify"):
+        assert not added[step] & HEAVY, step
+    # an all-integer run never needs a rational; the fit is exact in Fractions
+    assert "fractions" in added["fit"]
 
 
 def test_import_loads_no_argparse(added):
@@ -70,5 +89,24 @@ def test_import_loads_no_argparse(added):
 
 def test_verify_loads_no_hashlib(added):
     # nor does poly: graph_fingerprint takes CPython's own SHA-256
-    assert not added["verify"] & HEAVY
-    assert not added["poly"] & HEAVY
+    assert "hashlib" not in added["verify"] | added["poly"] | added["fit"]
+
+
+@pytest.mark.parametrize("step", ["import", "count", "switch", "equiv", "intflow"])
+def test_commands_without_polynomials_load_no_engine(added, step):
+    assert not added[step] & ENGINE
+
+
+@pytest.mark.parametrize("step", ["poly", "verify", "fit"])
+def test_commands_with_polynomials_load_the_engine(added, step):
+    assert added[step] >= ENGINE
+
+
+def test_public_names_resolve_to_their_modules():
+    # the package imports each name from its module on first use
+    for name, module in signedflow._MODULE_OF.items():
+        defining = importlib.import_module(f"signedflow.{module}")
+        assert getattr(signedflow, name) is getattr(defining, name)
+    assert signedflow.__all__ == sorted(signedflow._MODULE_OF)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        signedflow.no_such_name
