@@ -3,7 +3,14 @@
 One enumerator counts assignments edge by edge with a frontier transfer
 matrix: partial assignments that leave the same sums at the vertices still
 open are counted together, and the last edge at a vertex takes only the
-values that make its sum zero.  Exactness over speed, with a budget on the
+values that make its sum zero.  Only an edge with tau0 = tau1 changes the
+total of the vertex sums, by 2 * tau0 * x, so after a component's last such
+edge that total must be 0.  The count first switches, which negates some
+vertices' sums and keeps every count, so that this edge comes as early as
+any switching can put it, and there admits only the values that bring the
+total to 0.  The 2-torsion of the group, the paper's epsilon_2, shows here:
+2x = -T has 0 or 2^d solutions in a group of 2-rank d, so over Z_2^d
+nothing is dropped.  Exactness over speed, with a budget on the
 transfer-matrix steps, bounded before the count starts, instead of silent
 long runs.  Counts are plain Python ints, so they never overflow.
 """
@@ -11,6 +18,8 @@ long runs.  Counts are plain Python ints, so they never overflow.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
+from math import prod
 
 from .graph import (
     Edge,
@@ -57,6 +66,47 @@ def verify_flow(
     return all(not any(s) for s in sums)
 
 
+def _forest_switched(g: SignedGraph, walk: list, tau: Orientation) -> list[tuple[int, int]]:
+    """tau at each edge of ``walk``, in walk order, switched so that every
+    edge of a spanning forest grown over the walk from its end has
+    tau0 = -tau1.
+
+    Switching negates tau at every half-edge of a vertex, which negates
+    that vertex's sum, so the flows and every count stay the same, for any
+    tau.  An edge with tau0 = tau1 adds 2 * tau0 * x to the total of the
+    vertex sums (a loop adds tau0 * x + tau1 * x at its one vertex), and
+    every other edge adds 0.  Grown from the end, the forest leaves out an
+    edge only when later edges close a cycle with it; if that cycle is
+    balanced, the edge gets tau0 = -tau1, so a component's last edge with
+    tau0 = tau1 is as early in the walk as any switching can put it.  The
+    forest is a union-find over the walk's vertices, each with its flip
+    relative to its parent.
+    """
+    up: dict[int, tuple[int, int]] = {}
+    size: dict[int, int] = {}
+
+    def flip(w: int) -> tuple[int, int]:
+        """The root of w's tree and w's flip relative to it."""
+        f = 1
+        while w in up:
+            w, step = up[w]
+            f *= step
+        return w, f
+
+    for i, *_ in reversed(walk):
+        (a, fa), (b, fb) = flip(g.edges[i].u), flip(g.edges[i].v)
+        if a != b:  # a forest edge: flip a's tree so that it gets tau0 = -tau1
+            # the smaller tree goes under the larger, so no tree is deeper
+            # than log2 of its size (else a star's tree can gain a level per edge)
+            if size.get(a, 1) > size.get(b, 1):
+                a, b = b, a
+            up[a] = b, -fa * fb * tau.taus[i][0] * tau.taus[i][1]
+            size[b] = size.get(a, 1) + size.get(b, 1)
+    return [
+        (tau.taus[i][0] * flip(g.edges[i].u)[1], tau.taus[i][1] * flip(g.edges[i].v)[1]) for i, *_ in walk
+    ]
+
+
 def _count_flows(
     g: SignedGraph, tau: Orientation, gamma: FiniteAbelianGroup, values: tuple[range, ...], budget: int
 ) -> int:
@@ -77,6 +127,17 @@ def _count_flows(
     drop every other state anyway.  This check reads only the tables the
     closing edge reads (``mult`` with ``neg`` or ``ids``, or a loop's tally
     of its k * x), so the step bound below and the memory are unchanged.
+
+    Each edge's tau comes from :func:`_forest_switched`, so a component's
+    last edge with tau0 = tau1 is as early as any switching can put it.
+    There, unless it is the component's last edge, the total T of a state's
+    open sums (the charge, summed from its digits one residue at a time)
+    must become 0, so x must have (tau0 + tau1) * x = -T: an edge that
+    closes no end and an open loop look up the values under -T, and a loop
+    that closes its vertex, whose x is forced to take su from the charge,
+    needs T == su.  A non-loop edge that closes an end is in the forest, so
+    it is never this edge.  This reads only the value tables the edge
+    builds anyway, and the step bound is unchanged.
 
     The walk leaves out edgeless vertices, so an edgeless graph gives an
     empty walk, which counts 1.  Otherwise, before any table is built, one
@@ -104,9 +165,15 @@ def _count_flows(
     ahead: list[list[int | None]] = []
     # per open slot that has had an edge: (position, end) of its latest edge
     latest: dict[int, tuple[int, int]] = {}
+    # positions of each component's last edge with tau0 = tau1 where that is
+    # not the component's last edge; charged is the latest in this component
+    forced: set[int] = set()
+    charged = -1
     num_open, steps, bound = 0, 4 * r + num_values, 1
-    for pos, (i, su, sv, opened, freed) in enumerate(walk):
-        t0, t1 = tau.taus[i]
+    switched = _forest_switched(g, walk, tau)
+    for pos, ((_, su, sv, opened, freed), (t0, t1)) in enumerate(zip(walk, switched)):
+        if t0 + t1:
+            charged = pos
         closes = len(freed)
         fanout = 1 if closes else num_values
         steps += bound * fanout + 2 * (r + num_values) + min(bound * ((su != sv) + 1 - closes), r) * r
@@ -117,6 +184,10 @@ def _count_flows(
             )
         num_open += len(opened) - closes
         bound = min(bound * fanout, r**num_open)
+        if not num_open:  # the component ends here
+            if 0 <= charged < pos:
+                forced.add(charged)
+            charged = -1
         for w in freed:
             if w in latest:
                 prev, end = latest.pop(w)
@@ -168,8 +239,32 @@ def _count_flows(
             return neg if k == 1 else ids, mult
         return neg, tally(k)
 
+    # (place value, modulus) of each residue in an element's index
+    radix = [(prod(gamma.moduli[k + 1 :]), m) for k, m in enumerate(gamma.moduli)]
+
+    def charge(s: int) -> int:
+        """Index of the sum of the digits of s, the total of the open
+        vertices' sums, one residue at a time."""
+        total = 0
+        for place, m in radix:
+            digits, residue = s // place, 0
+            while digits:
+                residue += digits % m
+                digits //= r
+            total += residue % m * place
+        return total
+
+    def by_charge(moves: list, adds: Iterable[int]) -> dict[int, list]:
+        """The moves by the index of the k * x each adds to the charge
+        (k = tau0 + tau1): a state of charge T keeps those under -T."""
+        out: dict[int, list] = {}
+        for move, a in zip(moves, adds):
+            out.setdefault(a, []).append(move)
+        return out
+
     states = {0: 1}
-    for (pu, pv, t0, t1, closes), (cu, cv) in zip(plan, ahead):
+    for pos, ((pu, pv, t0, t1, closes), (cu, cv)) in enumerate(zip(plan, ahead)):
+        force = pos in forced
         new: dict[int, int] = {}
         get = new.get
         via_u, look_u = closable(cu)
@@ -181,15 +276,18 @@ def _count_flows(
                 for s, c in states.items():
                     su = s // pu % r
                     k = adds.get(neg[su])
-                    if k:
+                    # it takes su from the charge, which must then be 0
+                    if k and (not force or charge(s) == su):
                         key = s - su * pu
                         new[key] = get(key, 0) + c * k
             else:
+                moves = list(adds.items())
+                solve = by_charge(moves, adds) if force else {}
                 for s, c in states.items():
                     su = s // pu % r
                     row_u = rows[su] or row(su)
                     base = s - su * pu
-                    for a, k in adds.items():
+                    for a, k in solve.get(neg[charge(s)], ()) if force else moves:
                         du = row_u[a]
                         if cu is None or look_u[via_u[du]]:
                             key = base + du * pu
@@ -197,6 +295,8 @@ def _count_flows(
         elif closes:
             # u closes: the forced value x has tau0*x = -su; it is
             # mult[x_of[su]] values, and adds tau1*x = b_of[su] at v
+            # (never forced: its closing end meets no later edge, so it is
+            # in the forest of _forest_switched and has tau0 = -tau1)
             x_of = neg if t0 == 1 else ids
             b_of = neg if t0 == t1 else ids
             for s, c in states.items():
@@ -214,13 +314,14 @@ def _count_flows(
                     continue
                 new[key] = get(key, 0) + c * k
         else:
-            ta, tb = times(t0), times(t1)
+            moves = list(zip(times(t0), times(t1)))
+            solve = by_charge(moves, times(t0 + t1)) if force else {}
             for s, c in states.items():
                 su, sv = s // pu % r, s // pv % r
                 row_u = rows[su] or row(su)
                 row_v = rows[sv] or row(sv)
                 base = s - su * pu - sv * pv
-                for a, b in zip(ta, tb):
+                for a, b in solve.get(neg[charge(s)], ()) if force else moves:
                     du, dv = row_u[a], row_v[b]
                     if (cu is None or look_u[via_u[du]]) and (cv is None or look_v[via_v[dv]]):
                         key = base + du * pu + dv * pv

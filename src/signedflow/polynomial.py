@@ -7,6 +7,7 @@ outright so no count can ever pass through floating point.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from math import lcm, prod
 
 from .values import Value, _as_int
 
@@ -130,29 +131,47 @@ class Poly(Value):
 
 
 def interpolate(points: Iterable[tuple[Coeff, Coeff]]) -> Poly:
-    """Least-degree polynomial through the given points, by Newton's
-    divided differences in exact rational arithmetic.
+    """Least-degree polynomial through the given points, in exact integer
+    arithmetic.
 
-    Trailing zero coefficients are normalized away, so data sampled from a
-    low-degree polynomial comes back at its true degree.
+    Lagrange's form over one common denominator.  With the xs scaled by sx,
+    the lcm of their denominators, and the ys by sy, p(x) = N(sx * x) /
+    (L * sy): over the scaled points, L is the lcm of the basis
+    denominators w_j = prod(x_j - x_k for k != j), and N is the sum of
+    y_j * (L / w_j) * prod(t - x_k for k != j), each product divided
+    synthetically out of prod(t - x_k).  A coefficient is a ``Fraction``
+    only when it is not an integer, so integral data never loads
+    ``fractions``.  Trailing zero coefficients are normalized away, so data
+    sampled from a low-degree polynomial comes back at its true degree.
     """
-    from fractions import Fraction
-
-    pts = [(Fraction(_as_exact(x)), Fraction(_as_exact(y))) for x, y in points]
+    pts = [(_as_exact(x), _as_exact(y)) for x, y in points]
     if not pts:
         return Poly()
-    xs = [x for x, _ in pts]
+    sx = lcm(*(x.denominator for x, _ in pts))
+    sy = lcm(*(y.denominator for _, y in pts))
+    xs = [int(x * sx) for x, _ in pts]
     if len(set(xs)) != len(xs):
         raise ValueError("sample points must have distinct x values")
-    dd = [y for _, y in pts]
-    k = len(pts)
-    for j in range(1, k):
-        for i in range(k - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
-    poly = Poly()
-    basis = Poly((1,))
-    for i in range(k):
-        if i > 0:
-            basis = basis * Poly((-xs[i - 1], 1))
-        poly = poly + dd[i] * basis
-    return poly
+    k = len(xs)
+    whole = [1]  # prod(t - x_j), ascending coefficients
+    for x in xs:
+        whole = [a - x * b for a, b in zip([0] + whole, whole + [0])]
+    weights = [prod(xj - xk for xk in xs if xk != xj) for xj in xs]
+    den = lcm(*weights)
+    num = [0] * k
+    for (_, y), xj, w in zip(pts, xs, weights):
+        scale = int(y * sy) * (den // w)
+        acc = 0
+        for i in range(k, 0, -1):  # whole / (t - xj), from the top
+            acc = whole[i] + xj * acc
+            num[i - 1] += scale * acc
+    out = []
+    for i, c in enumerate(num):
+        c, d = c * sx**i, den * sy
+        if c % d:
+            from fractions import Fraction
+
+            out.append(Fraction(c, d))
+        else:
+            out.append(c // d)
+    return Poly(out)

@@ -22,7 +22,13 @@ from signedflow import (
     verify_flow,
 )
 from signedflow.graph import frontier_walk
-from signedflow.oracle import DEFAULT_BUDGET, BudgetExceededError, _count_flows, count_double_sum_solutions
+from signedflow.oracle import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    _count_flows,
+    _forest_switched,
+    count_double_sum_solutions,
+)
 
 from corpusgen import (
     BARBELL,
@@ -37,6 +43,7 @@ from corpusgen import (
     TRIANGLE_ONE_NEG,
     TWO_NEG_LOOPS,
     ZOO,
+    disjoint_union,
     g,
     loop_and_multi_edge_graphs,
     signed_graphs,
@@ -410,6 +417,164 @@ class TestEarlyClosingCheck:
     def test_positive_k5(self):
         k5 = g(5, *((u, v, 1) for u, v in itertools.combinations(range(5), 2)))
         assert [count_integer_nflows(k5, n) for n in range(2, 6)] == [24, 576, 6096, 36784]
+
+
+@st.composite
+def multi_component_graphs(draw, max_edges: int = 6):
+    """Two or three parts side by side, each with an edge, plus up to two
+    isolated vertices, with vertices and edges in random order.  Parts of
+    at most three vertices often carry loops of both signs and parallel
+    edges."""
+    k = draw(st.integers(2, 3))
+    part = signed_graphs(max_vertices=3, max_edges=max_edges // k).filter(lambda h: h.num_edges)
+    union = disjoint_union([draw(part) for _ in range(k)] + [g(1)] * draw(st.integers(0, 2)))
+    relabel = draw(st.permutations(range(union.num_vertices)))
+    order = draw(st.permutations(union.edges))
+    return SignedGraph.from_edges(union.num_vertices, [(relabel[u], relabel[v], s) for u, v, s in order])
+
+
+@st.composite
+def any_taus(draw, graph: SignedGraph):
+    """An orientation drawn half-edge by half-edge, whether or not it fits
+    the signs."""
+    pm = st.sampled_from((1, -1))
+    return Orientation(tuple((draw(pm), draw(pm)) for _ in graph.edges))
+
+
+def last_charged(walk, taus) -> list[int]:
+    """Per component of the walk, the position of its last edge with
+    tau0 = tau1, or -1."""
+    out, last, num_open = [], -1, 0
+    for pos, ((_, _, _, opened, freed), (t0, t1)) in enumerate(zip(walk, taus)):
+        last = pos if t0 == t1 else last
+        num_open += len(opened) - len(freed)
+        if not num_open:
+            out.append(last)
+            last = -1
+    return out
+
+
+def forcing_shapes(graph: SignedGraph) -> set[str]:
+    """The kinds of edge at which the count of ``graph`` forces the total of
+    the open sums: a component's last edge with tau0 = tau1 after switching,
+    where that is not the component's last edge."""
+    walk = frontier_walk(graph)
+    last = iter(last_charged(walk, _forest_switched(graph, walk, default_orientation(graph))))
+    shapes, num_open = set(), 0
+    for pos, (_, _, _, opened, freed) in enumerate(walk):
+        num_open += len(opened) - len(freed)
+        if not num_open:
+            forced = next(last)
+            if 0 <= forced < pos:
+                _, su, sv, _, closes = walk[forced]
+                shapes.add("a loop that closes its vertex" if su == sv and closes
+                           else "a loop" if su == sv else "an edge that closes no end")
+    return shapes
+
+
+class TestChargeLaw:
+    """Only edges with tau0 = tau1 change the total of the vertex sums, so
+    after a component's last such edge that total must be 0.  The count
+    switches so that edge comes as early as it can and forces the total
+    there; each count still matches brute force."""
+
+    @pytest.mark.parametrize(
+        "graph, shape",
+        [
+            (g(3, (0, 1, 1), (1, 1, -1), (1, 1, -1), (0, 2, 1), (2, 2, 1)), "a loop that closes its vertex"),
+            (BARBELL, "a loop"),
+            (g(2, (0, 0, -1), (0, 1, 1), (0, 1, 1)), "a loop"),
+            (TRIANGLE_ONE_NEG, "an edge that closes no end"),
+            (THETA_PPM, "an edge that closes no end"),
+        ],
+    )
+    def test_each_way_to_force_matches_brute_force(self, graph, shape):
+        assert shape in forcing_shapes(graph)
+        for n in range(1, 5):
+            assert count_integer_nflows(graph, n) == integer_product_reference(graph, n)
+        tau = default_orientation(graph)
+        for gamma in (Z2, Z3, Z4, K4GROUP, Z5):
+            assert count_group_flows(graph, gamma) == product_reference(graph, gamma, tau)
+        # on the first graph, the forced loop keeps a state only if the edge
+        # into its vertex carries 0, so the value sets include 0
+        flipped = flipped_orientation(graph, [True] * graph.num_edges)
+        for r in (3, 4, 5, 6):
+            for values in ((range(1, 2),), (range(0, 3), range(2, 3))):
+                for t in (tau, flipped):
+                    assert _count_flows(graph, t, FiniteAbelianGroup((r,)), values, DEFAULT_BUDGET) == (
+                        value_set_reference(graph, t, r, values)
+                    )
+
+    @given(multi_component_graphs(), st.sampled_from([Z2, Z3, Z4, K4GROUP]), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_group_counts_match_brute_force(self, graph, gamma, data):
+        tau = default_orientation(graph)
+        for i in data.draw(st.lists(st.integers(0, graph.num_edges - 1), max_size=4)):
+            tau = reverse_edge(tau, i)
+        assert count_group_flows(graph, gamma, tau=tau) == product_reference(graph, gamma, tau)
+
+    @given(multi_component_graphs(), st.integers(1, 3))
+    @settings(max_examples=50, deadline=None)
+    def test_integer_counts_match_brute_force(self, graph, n):
+        assert count_integer_nflows(graph, n) == integer_product_reference(graph, n)
+
+    @given(multi_component_graphs(max_edges=5), st.integers(2, 6), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_value_ranges_and_any_tau_match_brute_force(self, graph, r, data):
+        lo, hi = sorted(data.draw(st.lists(st.integers(0, r), min_size=2, max_size=2)))
+        extra = data.draw(st.integers(0, r - 1))
+        values = (range(lo, hi), range(extra, extra + data.draw(st.integers(0, 1))))
+        tau = data.draw(any_taus(graph))
+        assert _count_flows(graph, tau, FiniteAbelianGroup((r,)), values, DEFAULT_BUDGET) == (
+            value_set_reference(graph, tau, r, values)
+        )
+
+    @given(multi_component_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_the_reverse_walk_forest_gets_opposite_taus(self, graph, data):
+        walk = frontier_walk(graph)
+        tau = data.draw(any_taus(graph))
+        switched = _forest_switched(graph, walk, tau)
+        # a switching: each vertex's half-edges all keep tau or all negate it
+        flips: dict[int, set[int]] = {}
+        for (i, *_), new in zip(walk, switched):
+            for w, t, t_new in zip(graph.edges[i][:2], tau.taus[i], new):
+                flips.setdefault(w, set()).add(t * t_new)
+        assert all(len(f) == 1 for f in flips.values())
+        # the forest grown from the walk's end, by plain component labels
+        label = {w: w for w in range(graph.num_vertices)}
+        for pos in reversed(range(len(walk))):
+            u, v, _ = graph.edges[walk[pos][0]]
+            if label[u] != label[v]:
+                old = label[u]
+                label = {w: label[v] if c == old else c for w, c in label.items()}
+                assert switched[pos][0] == -switched[pos][1]
+
+    @given(multi_component_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_no_switching_ends_the_charge_earlier(self, graph, data):
+        walk = frontier_walk(graph)
+        tau = data.draw(any_taus(graph))
+        best = last_charged(walk, _forest_switched(graph, walk, tau))
+        for bits in range(2 ** graph.num_vertices):
+            taus = []
+            for i, *_ in walk:
+                u, v, _ = graph.edges[i]
+                t0, t1 = tau.taus[i]
+                taus.append((-t0 if bits >> u & 1 else t0, -t1 if bits >> v & 1 else t1))
+            assert all(a <= b for a, b in zip(best, last_charged(walk, taus)))
+
+    @given(multi_component_graphs(), st.sampled_from([Z3, Z4, K4GROUP, Z5]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_counting_under_the_switched_tau_keeps_the_count(self, graph, gamma, data):
+        walk = frontier_walk(graph)
+        tau = data.draw(any_taus(graph))
+        by_edge = dict(zip((i for i, *_ in walk), _forest_switched(graph, walk, tau)))
+        switched = Orientation(by_edge[i] for i in range(graph.num_edges))
+        values = (range(1, gamma.order),)
+        assert _count_flows(graph, switched, gamma, values, DEFAULT_BUDGET) == (
+            _count_flows(graph, tau, gamma, values, DEFAULT_BUDGET)
+        )
 
 
 class TestDoubleSumOracle:

@@ -5,8 +5,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signedflow import Poly, interpolate
+from signedflow.polynomial import _as_exact
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=6)
+exact_numbers = st.integers(-60, 60) | st.fractions(max_denominator=12).filter(lambda q: abs(q) <= 60)
+
+
+def newton_interpolate(points):
+    """Least-degree polynomial through the given points, by Newton's
+    divided differences in exact rational arithmetic: the library's
+    version before it moved to integer arithmetic, kept as a reference.
+    """
+    from fractions import Fraction
+
+    pts = [(Fraction(_as_exact(x)), Fraction(_as_exact(y))) for x, y in points]
+    if not pts:
+        return Poly()
+    xs = [x for x, _ in pts]
+    if len(set(xs)) != len(xs):
+        raise ValueError("sample points must have distinct x values")
+    dd = [y for _, y in pts]
+    k = len(pts)
+    for j in range(1, k):
+        for i in range(k - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+    poly = Poly()
+    basis = Poly((1,))
+    for i in range(k):
+        if i > 0:
+            basis = basis * Poly((-xs[i - 1], 1))
+        poly = poly + dd[i] * basis
+    return poly
 
 
 class TestArithmetic:
@@ -134,3 +163,12 @@ class TestInterpolation:
         p = Poly(coeffs)
         pts = [(n, p(n)) for n in range(len(coeffs) + 1)]
         assert interpolate(pts) == p
+
+    @given(st.lists(st.tuples(exact_numbers, exact_numbers), max_size=7, unique_by=lambda pt: pt[0]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_newton_on_int_and_fraction_points(self, points):
+        p, q = interpolate(points), newton_interpolate(points)
+        assert p == q
+        assert [type(c) for c in p.coeffs] == [type(c) for c in q.coeffs]
+        assert str(p) == str(q)
+

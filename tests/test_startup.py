@@ -49,10 +49,13 @@ for step in sys.argv[1:]:
 def added(tmp_path_factory):
     """Modules added by the import and by each step.  count, switch, equiv
     and intflow run one after another in one process; poly, verify and
-    intflow --fit each run in a process of their own."""
+    each intflow --fit run in a process of their own."""
     folder = tmp_path_factory.mktemp("startup")
     graph = folder / "digon.txt"
     graph.write_text("vertices 2\nedge 0 1 +\nedge 0 1 +\n")
+    # five negative loops and a positive one: a fit with halves in p_odd
+    loops = folder / "loops.txt"
+    loops.write_text("vertices 1\n" + "edge 0 0 -\n" * 5 + "edge 0 0 +\n")
     g = ["--graph", str(graph), "--json"]
     light = [
         ("count", ["count", *g, "--group", "3"]),
@@ -61,7 +64,8 @@ def added(tmp_path_factory):
         ("intflow", ["intflow", *g, "--n-max", "6"]),
     ]
     runs = [light, [("poly", ["poly", *g])], [("verify", ["verify", *g, "--max-order", "4"])],
-            [("fit", ["intflow", *g, "--n-max", "6", "--fit"])]]
+            [("fit", ["intflow", *g, "--n-max", "6", "--fit"])],
+            [("rational-fit", ["intflow", "--graph", str(loops), "--json", "--n-max", "9", "--fit"])]]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     added = {}
     for steps in runs:
@@ -79,8 +83,9 @@ def test_heavy_modules_load_only_where_used(added):
     assert not added["import"] & HEAVY
     for step in ("count", "switch", "equiv", "intflow", "poly", "verify"):
         assert not added[step] & HEAVY, step
-    # an all-integer run never needs a rational; the fit is exact in Fractions
-    assert "fractions" in added["fit"]
+    # an integral fit is exact in ints; only a rational coefficient needs a Fraction
+    assert "fractions" not in added["fit"]
+    assert "fractions" in added["rational-fit"]
 
 
 def test_import_loads_no_argparse(added):
