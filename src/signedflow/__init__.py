@@ -26,7 +26,6 @@ _MODULE_OF = {
     "contract_edge": "graph",
     "count_group_flows": "oracle",
     "count_integer_nflows": "oracle",
-    "cycle_sign": "graph",
     "default_orientation": "graph",
     "delete_edge": "graph",
     "double_sum_solutions": "engine",
@@ -42,10 +41,8 @@ _MODULE_OF = {
     "nonzero_sum_count": "engine",
     "parse_graph_text": "graph",
     "parse_group_spec": "groups",
-    "reverse_edge": "graph",
     "signatures_equivalent": "graph",
     "switch": "graph",
-    "verify_flow": "oracle",
 }
 
 __all__ = sorted(_MODULE_OF)

@@ -37,7 +37,7 @@ def _load_graph(path: str) -> SignedGraph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read graph file {path!r}: {exc}") from None
     try:
         return parse_graph_text(text)

@@ -261,9 +261,6 @@ class QuasiPolynomialFit(Record):
         self.validated = validated
         self.sample_range = sample_range
 
-    def polynomial_for(self, n: int) -> Poly:
-        return self.p_even if n % 2 == 0 else self.p_odd
-
 
 def fit_quasipolynomial(samples: Iterable[tuple[int, int]]) -> QuasiPolynomialFit:
     """Fit one exact polynomial per parity class to counts sampled at

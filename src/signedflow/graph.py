@@ -60,9 +60,6 @@ class SignedGraph(Value):
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def negative_edge_ids(self) -> frozenset[int]:
-        return frozenset(i for i, e in enumerate(self.edges) if e.sign == -1)
-
 
 class Orientation(Value):
     """Direction of every half-edge: ``taus[e]`` holds tau at slot 0 and slot 1.
@@ -96,15 +93,6 @@ def default_orientation(g: SignedGraph) -> Orientation:
     negative edge has both half-edges directed away from their endpoints.
     """
     return Orientation(tuple((-1, e.sign) for e in g.edges))
-
-
-def reverse_edge(o: Orientation, edge_id: int) -> Orientation:
-    """Negate both tau values of one edge; validity is preserved."""
-    edge_id = _as_int(edge_id, "edge id", below=len(o.taus))
-    taus = list(o.taus)
-    t0, t1 = taus[edge_id]
-    taus[edge_id] = (-t0, -t1)
-    return Orientation(tuple(taus))
 
 
 def _derived(num_vertices: int, edges: tuple[Edge, ...]) -> SignedGraph:
@@ -155,24 +143,20 @@ def is_edge_cut(g: SignedGraph, d: Iterable[int]) -> bool:
 
 
 def signatures_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:
-    """Whether two signatures of the same underlying graph differ by an edge-cut."""
+    """Whether two signatures of the same underlying graph differ by an edge-cut.
+
+    Edge i of one graph must join the same two vertices as edge i of the
+    other, in either order, since an edge is undirected.
+    """
     same_underlying = (
         g1.num_vertices == g2.num_vertices
         and g1.num_edges == g2.num_edges
-        and all((a.u, a.v) == (b.u, b.v) for a, b in zip(g1.edges, g2.edges))
+        and all({a.u, a.v} == {b.u, b.v} for a, b in zip(g1.edges, g2.edges))
     )
     if not same_underlying:
         raise ValueError("graphs have different underlying vertex/edge structure")
-    diff = g1.negative_edge_ids() ^ g2.negative_edge_ids()
+    diff = {i for i, (a, b) in enumerate(zip(g1.edges, g2.edges)) if a.sign != b.sign}
     return is_edge_cut(g1, diff)
-
-
-def cycle_sign(g: SignedGraph, cycle: Iterable[int]) -> int:
-    """Product of the signs of the given edges, each counted once."""
-    sign = 1
-    for i in _check_edge_ids(g, cycle):
-        sign *= g.edges[i].sign
-    return sign
 
 
 def delete_edge(g: SignedGraph, edge_id: int) -> SignedGraph:

@@ -55,12 +55,6 @@ class FiniteAbelianGroup(Value):
             raise ValueError(f"element {a} has {len(a)} components, expected {len(self.moduli)}")
         return tuple(_as_int(r, "residue", below=m) for r, m in zip(a, self.moduli))
 
-    def zero(self) -> GroupElement:
-        return (0,) * len(self.moduli)
-
-    def is_zero(self, a: GroupElement) -> bool:
-        return not any(self._check(a))
-
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
         a, b = self._check(a), self._check(b)
         return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
@@ -80,18 +74,6 @@ class FiniteAbelianGroup(Value):
     def elements(self) -> Iterator[GroupElement]:
         """All elements in lexicographic order of residue tuples."""
         return itertools.product(*(range(m) for m in self.moduli))
-
-    def nonzero_elements(self) -> Iterator[GroupElement]:
-        zero = self.zero()
-        return (a for a in self.elements() if a != zero)
-
-    def index_of(self, a: GroupElement) -> int:
-        """Position of ``a`` in ``elements()`` (mixed-radix value); zero maps to 0."""
-        a = self._check(a)
-        i = 0
-        for r, m in zip(a, self.moduli):
-            i = i * m + r
-        return i
 
     def index_table(self, shift: int, scale: int) -> list[int]:
         """Entry j is the index of ``a_shift + scale * a_j``, where ``a_i`` is

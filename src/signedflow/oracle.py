@@ -22,48 +22,19 @@ from collections.abc import Iterable
 from math import prod
 
 from .graph import (
-    Edge,
     Orientation,
     SignedGraph,
     default_orientation,
     frontier_walk,
 )
-from .groups import FiniteAbelianGroup, GroupElement
+from .groups import FiniteAbelianGroup
 from .values import _as_int
 
 DEFAULT_BUDGET = 10**8
 
-FlowAssignment = dict[int, GroupElement]
-
 
 class BudgetExceededError(Exception):
     """The transfer-matrix steps a count may take exceed the budget."""
-
-
-def verify_flow(
-    g: SignedGraph,
-    tau: Orientation,
-    gamma: FiniteAbelianGroup,
-    phi: FlowAssignment,
-) -> bool:
-    """Whether phi satisfies Kirchhoff's law at every vertex.
-
-    At each vertex the tau-weighted values of all incident half-edges must
-    sum to zero; a loop contributes both of its half-edges.  The nowhere-zero
-    condition is not checked here; an orientation that does not fit ``g`` is
-    a ``ValueError``.
-    """
-    if set(phi) != set(range(g.num_edges)):
-        raise ValueError("flow assignment must cover every edge id exactly")
-    if not tau.satisfies(g):
-        raise ValueError("orientation does not fit the graph's edges and signs")
-    sums = [gamma.zero()] * g.num_vertices
-    for i, e in enumerate(g.edges):
-        value = phi[i]
-        t0, t1 = tau.taus[i]
-        sums[e.u] = gamma.add(sums[e.u], value if t0 == 1 else gamma.negate(value))
-        sums[e.v] = gamma.add(sums[e.v], value if t1 == 1 else gamma.negate(value))
-    return all(not any(s) for s in sums)
 
 
 def _forest_switched(g: SignedGraph, walk: list, tau: Orientation) -> list[tuple[int, int]]:
@@ -365,15 +336,3 @@ def count_integer_nflows(g: SignedGraph, n: int, *, budget: int = DEFAULT_BUDGET
     values = (range(1, n), range(order - n + 1, order))
     return _count_flows(g, default_orientation(g), FiniteAbelianGroup((order,)), values, budget)
 
-
-def count_double_sum_solutions(
-    t: int, gamma: FiniteAbelianGroup, *, budget: int = DEFAULT_BUDGET
-) -> int:
-    """Solutions of 2*x_1 + ... + 2*x_t = 0 with every x_i nonzero, by
-    enumeration; t = 0 has the single empty solution.
-
-    These are the nowhere-zero flows on one vertex with t negative loops,
-    each of which adds +-2*x_i there.
-    """
-    t = _as_int(t, "t", least=0)
-    return count_group_flows(SignedGraph(1, (Edge(0, 0, -1),) * t), gamma, budget=budget)

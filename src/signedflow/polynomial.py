@@ -51,9 +51,6 @@ class Poly(Value):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs)
-
     def __add__(self, other: Poly) -> Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -97,10 +94,6 @@ class Poly(Value):
         for c in reversed(self.coeffs):
             acc = acc * n + c
         return acc
-
-    def scale_argument(self, k: Coeff) -> Poly:
-        """The polynomial p(k*n): coefficient i is multiplied by k**i."""
-        return Poly(tuple(c * k**i for i, c in enumerate(self.coeffs)))
 
     def coeff_list(self) -> list[Coeff]:
         """Ascending-power coefficient list, ``[c0, c1, ...]``."""

@@ -526,6 +526,23 @@ class TestEquivAndSwitch:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_endpoints_in_either_order_are_the_same_edge(self, capsys, tmp_path, sign):
+        one, other = tmp_path / "one.txt", tmp_path / "other.txt"
+        one.write_text("vertices 2\nedge 0 1 +\n")
+        other.write_text(f"vertices 2\nedge 1 0 {sign}\n")
+        code, out = run_cli(capsys, "equiv", "--graph", str(one), "--other", str(other))
+        assert (code, out) == (0, "equivalent: yes\n")
+
+    def test_a_file_that_is_not_utf8_is_named(self, capsys, tmp_path, write_graph):
+        bad = tmp_path / "utf16.txt"
+        bad.write_bytes("vertices 1\n".encode("utf-16"))  # starts with the BOM ff fe
+        assert cli.main(["equiv", "--graph", write_graph(NEG_LOOP), "--other", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read graph file {str(bad)!r}: 'utf-8' codec can't decode byte 0xff"
+            " in position 0: invalid start byte\n"
+        )
+
     def test_switch_round_trip_through_cli(self, capsys, write_graph, tmp_path):
         graph = g(3, (0, 1, -1), (1, 2, -1), (0, 2, 1))
         path = write_graph(graph)

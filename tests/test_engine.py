@@ -23,7 +23,6 @@ from signedflow import (
 )
 import signedflow.engine as engine
 from signedflow.engine import _frontier_sum
-from signedflow.oracle import count_double_sum_solutions
 
 from corpusgen import (
     BARBELL,
@@ -42,6 +41,14 @@ from corpusgen import (
     k4_with_signs,
     loop_and_multi_edge_graphs,
     signed_graphs,
+)
+from reference import (
+    count_double_sum_solutions,
+    is_integral,
+    nonzero_elements,
+    polynomial_for,
+    scale_argument,
+    zero,
 )
 
 
@@ -79,13 +86,13 @@ class TestNonzeroSumCount:
         for moduli in [(8,), (4, 2), (2, 2, 2)]:
             gamma = FiniteAbelianGroup(moduli)
             for s in range(4):
-                nonzero = list(gamma.nonzero_elements())
+                nonzero = list(nonzero_elements(gamma))
                 direct = 0
                 for xs in itertools.product(nonzero, repeat=s):
-                    acc = gamma.zero()
+                    acc = zero(gamma)
                     for x in xs:
                         acc = gamma.add(acc, x)
-                    direct += acc == gamma.zero()
+                    direct += acc == zero(gamma)
                 assert nonzero_sum_count(s, 8) == direct
 
     def test_symbolic_matches_concrete(self):
@@ -304,7 +311,7 @@ class TestFlowPolynomial:
         graph = SignedGraph(2, ((0, 1, 1),) * 300)
         family = flow_polynomial_family(graph, 3)
         for d in range(4):
-            assert family[d] == nonzero_sum_count(300).scale_argument(2**d)
+            assert family[d] == scale_argument(nonzero_sum_count(300), 2**d)
 
     def test_all_positive_triangle(self):
         for d in range(3):
@@ -362,7 +369,7 @@ class TestFlowPolynomial:
     def test_coefficients_are_exact_integers(self):
         for graph in [BARBELL, TRIANGLE_ONE_NEG, k4_with_signs([-1] * 6)]:
             for d in range(3):
-                assert flow_polynomial(graph, d).is_integral()
+                assert is_integral(flow_polynomial(graph, d))
 
     def test_edge_order_does_not_matter(self):
         for graph in [TRIANGLE_ONE_NEG, BARBELL, THETA_PPM, k4_with_signs([-1, 1, -1, 1, 1, 1])]:
@@ -417,7 +424,7 @@ class TestFlowPolynomial:
         for graph in [POS_LOOP, TRIANGLE, g(2, (0, 1, 1), (0, 1, 1), (0, 1, 1)), k4_with_signs([1] * 6)]:
             f0 = flow_polynomial(graph, 0)
             for d in range(1, 4):
-                assert flow_polynomial(graph, d) == f0.scale_argument(2**d)
+                assert flow_polynomial(graph, d) == scale_argument(f0, 2**d)
 
     def test_cache_gives_identical_results(self):
         # the keyword is accepted for callers that still pass it, and unused
@@ -497,8 +504,8 @@ class TestFitQuasipolynomial:
         assert fit.p_even != fit.p_odd
         assert fit.p_odd == Poly((-1, 1))
         assert fit.p_even == Poly((-2, 1))
-        assert fit.polynomial_for(4) == fit.p_even
-        assert fit.polynomial_for(7) == fit.p_odd
+        assert polynomial_for(fit, 4) == fit.p_even
+        assert polynomial_for(fit, 7) == fit.p_odd
 
     def test_non_consecutive_samples_raise(self):
         with pytest.raises(ValueError):

