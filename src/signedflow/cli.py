@@ -36,7 +36,9 @@ EXIT_INTERNAL = 4
 def _load_graph(path: str) -> SignedGraph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            # a leading byte-order mark is dropped, as utf-8-sig would drop it,
+            # without loading that codec's module in every command
+            text = fh.read().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read graph file {path!r}: {exc}") from None
     try:

@@ -78,6 +78,65 @@ def _forest_switched(g: SignedGraph, walk: list, tau: Orientation) -> list[tuple
     ]
 
 
+# The last plan made, as ((g, tau), plan): one tuple, so that it is
+# replaced in one step and a reader never pairs one key with another plan.
+_last_plan: tuple = ((None, None), None)
+
+
+def _plan(g: SignedGraph, tau: Orientation) -> tuple[list, list, set[int]]:
+    """The part of a count that does not depend on the group: ``(edges,
+    ahead, forced)`` for g under tau.
+
+    One pass over :func:`frontier_walk`, with each edge's tau from
+    :func:`_forest_switched`, gives each edge its record ``(slot of u, slot
+    of v, tau0, tau1, ends it closes, vertices open after it)``, a closing
+    end first; ``ahead`` holds, per edge and end, the factor the end's last
+    edge adds x with there if this is its next-to-last edge (tau at that
+    end, or tau0 + tau1 for a loop), else None; ``forced`` holds the
+    position of each component's last edge with tau0 = tau1 where that is
+    not the component's last edge.  Only the last plan is kept, keyed by
+    the value of ``(g, tau)``, so the counts of one graph over many groups
+    or many n plan it once.  The plan is read, never changed.
+    """
+    global _last_plan
+    key, plan = _last_plan
+    if key == (g, tau):
+        return plan
+    walk = frontier_walk(g)
+    edges: list[tuple[int, int, int, int, int, int]] = []
+    ahead: list[list[int | None]] = []
+    # per open slot that has had an edge: (position, end) of its latest edge
+    latest: dict[int, tuple[int, int]] = {}
+    # positions of each component's last edge with tau0 = tau1 where that is
+    # not the component's last edge; charged is the latest in this component
+    forced: set[int] = set()
+    charged, num_open = -1, 0
+    switched = _forest_switched(g, walk, tau)
+    for pos, ((_, su, sv, opened, freed), (t0, t1)) in enumerate(zip(walk, switched)):
+        if t0 + t1:
+            charged = pos
+        closes = len(freed)
+        num_open += len(opened) - closes
+        if not num_open:  # the component ends here
+            if 0 <= charged < pos:
+                forced.add(charged)
+            charged = -1
+        for w in freed:
+            if w in latest:
+                prev, end = latest.pop(w)
+                ahead[prev][end] = t0 + t1 if su == sv else t0 if w == su else t1
+        if su not in freed:  # v closes, or neither end does
+            su, sv, t0, t1 = sv, su, t1, t0
+        for end, w in ((1, sv), (0, su)):  # a loop's one end is u
+            if w not in freed:
+                latest[w] = pos, end
+        edges.append((su, sv, t0, t1, closes, num_open))
+        ahead.append([None, None])
+    plan = edges, ahead, forced
+    _last_plan = (g, tau), plan
+    return plan
+
+
 def _count_flows(
     g: SignedGraph, tau: Orientation, gamma: FiniteAbelianGroup, values: tuple[range, ...], budget: int
 ) -> int:
@@ -111,65 +170,31 @@ def _count_flows(
     builds anyway, and the step bound is unchanged.
 
     The walk leaves out edgeless vertices, so an edgeless graph gives an
-    empty walk, which counts 1.  Otherwise, before any table is built, one
-    planning pass over the walk gives each edge its record: the place
-    values of its ends' slots, its tau values and how many ends it closes,
-    a closing end first, and for each end whose next-to-last edge it is,
-    the factor its last edge adds x with there (tau at that end, or
-    tau0 + tau1 for a loop).  The same pass bounds the steps (a
-    state extended by a value, or a table entry): 4 * order + len(values)
-    for the fixed tables; at each edge, (states before it) * (1 if it
-    closes an end, else len(values)), 2 * (order + len(values)) for value
-    tables and order per addition-table row, one per sum at an end it
-    leaves open.  There are at most min(order^open, previous bound * fanout)
-    states.  Past ``budget`` steps, ``BudgetExceededError`` is raised.  The
-    count then only reads the records.
+    empty walk, which counts 1.  Otherwise the count reads the records of
+    :func:`_plan`, which does not depend on the group, and before any table
+    is built adds up its own bound on the steps (a state extended by a
+    value, or a table entry): 4 * order + len(values) for the fixed tables;
+    at each edge, (states before it) * (1 if it closes an end, else
+    len(values)), 2 * (order + len(values)) for value tables and order per
+    addition-table row, one per sum at an end it leaves open.  There are at
+    most min(order^open, previous bound * fanout) states.  Past ``budget``
+    steps, ``BudgetExceededError`` is raised.
     """
     budget = _as_int(budget, "budget", least=0)
-    walk = frontier_walk(g)
-    if not walk:
+    edges, ahead, forced = _plan(g, tau)
+    if not edges:
         return 1
     r, num_values = gamma.order, sum(map(len, values))
-    plan: list[tuple[int, int, int, int, int]] = []
-    # per edge and end (u, v), the factor of the end's last edge there if this
-    # is the end's next-to-last edge: tau at that end, tau0 + tau1 for a loop
-    ahead: list[list[int | None]] = []
-    # per open slot that has had an edge: (position, end) of its latest edge
-    latest: dict[int, tuple[int, int]] = {}
-    # positions of each component's last edge with tau0 = tau1 where that is
-    # not the component's last edge; charged is the latest in this component
-    forced: set[int] = set()
-    charged = -1
     num_open, steps, bound = 0, 4 * r + num_values, 1
-    switched = _forest_switched(g, walk, tau)
-    for pos, ((_, su, sv, opened, freed), (t0, t1)) in enumerate(zip(walk, switched)):
-        if t0 + t1:
-            charged = pos
-        closes = len(freed)
+    for pos, (su, sv, _, _, closes, after) in enumerate(edges):
         fanout = 1 if closes else num_values
         steps += bound * fanout + 2 * (r + num_values) + min(bound * ((su != sv) + 1 - closes), r) * r
         if steps > budget:
             raise BudgetExceededError(
-                f"up to {steps} transfer-matrix steps by edge {pos + 1} of {len(walk)} "
+                f"up to {steps} transfer-matrix steps by edge {pos + 1} of {len(edges)} "
                 f"with {num_open} vertices open exceed budget {budget}"
             )
-        num_open += len(opened) - closes
-        bound = min(bound * fanout, r**num_open)
-        if not num_open:  # the component ends here
-            if 0 <= charged < pos:
-                forced.add(charged)
-            charged = -1
-        for w in freed:
-            if w in latest:
-                prev, end = latest.pop(w)
-                ahead[prev][end] = t0 + t1 if su == sv else t0 if w == su else t1
-        if su not in freed:  # v closes, or neither end does
-            su, sv, t0, t1 = sv, su, t1, t0
-        for end, w in ((1, sv), (0, su)):  # a loop's one end is u
-            if w not in freed:
-                latest[w] = pos, end
-        plan.append((r**su, r**sv, t0, t1, closes))
-        ahead.append([None, None])
+        bound, num_open = min(bound * fanout, r**after), after
 
     scaled: dict[int, list[int]] = {}
 
@@ -234,8 +259,8 @@ def _count_flows(
         return out
 
     states = {0: 1}
-    for pos, ((pu, pv, t0, t1, closes), (cu, cv)) in enumerate(zip(plan, ahead)):
-        force = pos in forced
+    for pos, ((slot_u, slot_v, t0, t1, closes, _), (cu, cv)) in enumerate(zip(edges, ahead)):
+        pu, pv, force = r**slot_u, r**slot_v, pos in forced
         new: dict[int, int] = {}
         get = new.get
         via_u, look_u = closable(cu)

@@ -52,6 +52,13 @@ class TestCount:
         assert code == 0
         assert "nowhere-zero flows: 3" in out
 
+    def test_a_leading_byte_order_mark_is_read_past(self, capsys, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbfvertices 1\nedge 0 0 -\n")  # as some Windows editors save it
+        code, out = run_cli(capsys, "count", "--graph", str(path), "--group", "2,2", "--json")
+        assert code == 0
+        assert json.loads(out)["results"]["count"] == 3
+
     def test_positive_loop_over_z5(self, capsys, write_graph):
         code, out = run_cli(capsys, "count", "--graph", write_graph(POS_LOOP), "--group", "5")
         assert code == 0
@@ -273,6 +280,25 @@ class TestPoly:
         assert self.poly_family(capsys, write_graph, graph, 2) == [Poly(), Poly((1,)), Poly((3,))]
 
 
+@pytest.mark.parametrize("command, rows", [(["verify", "--max-order", "8"], "groups"),
+                                           (["intflow", "--n-max", "11"], "counts")])
+def test_the_oracle_plans_the_graph_once_per_command(capsys, write_graph, monkeypatch, command, rows):
+    planned = []
+    for name in ("frontier_walk", "_forest_switched"):
+        def counting(*args, name=name, planner=getattr(cli.oracle, name)):
+            planned.append(name)
+            return planner(*args)
+
+        monkeypatch.setattr(cli.oracle, name, counting)
+    # no plan kept from an earlier test (a module without one keeps none)
+    monkeypatch.setattr(cli.oracle, "_last_plan", ((None, None), None), raising=False)
+    k4 = k4_with_signs([1, -1, 1, 1, -1, 1])
+    code, out = run_cli(capsys, *command, "--graph", write_graph(k4), "--json")
+    assert code == 0
+    assert len(json.loads(out)["results"][rows]) == 11
+    assert planned == ["frontier_walk", "_forest_switched"]
+
+
 class TestVerify:
     def test_isolated_vertices_are_ignored(self, capsys, write_graph):
         digon = g(2, (0, 1, 1), (0, 1, -1))
@@ -325,6 +351,22 @@ class TestVerify:
         assert sorted(counted, key=lambda gamma: gamma.moduli) == sorted(
             abelian_groups_up_to(9), key=lambda gamma: gamma.moduli
         )
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_a_refusal_after_a_kept_plan_is_a_fresh_process_refusal(self, capsys, write_graph, mode):
+        # the six groups up to Z3 x Z2 fit the budget; Z7 does not
+        path = write_graph(k4_with_signs([1, -1, 1, 1, -1, 1]))
+        argv = ["verify", "--graph", path, "--max-order", "8", "--budget", "1000", *mode]
+        assert cli.main(["count", "--graph", path, "--group", "7"]) == 0  # plans the K4
+        capsys.readouterr()
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        src = Path(cli.__file__).resolve().parent.parent
+        child = subprocess.run([sys.executable, "-m", "signedflow.cli", *argv], capture_output=True,
+                               text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert (code, out, err) == (child.returncode, child.stdout, child.stderr)
+        assert code == 3
+        assert "Z7: up to " in out + err
 
     def test_mismatch_exits_one(self, capsys, write_graph, monkeypatch):
         monkeypatch.setattr(cli.oracle, "count_group_flows", lambda *a, **k: 987654)

@@ -25,6 +25,7 @@ from signedflow.oracle import (
     BudgetExceededError,
     _count_flows,
     _forest_switched,
+    _plan,
 )
 
 from corpusgen import (
@@ -42,6 +43,7 @@ from corpusgen import (
     ZOO,
     disjoint_union,
     g,
+    k4_with_signs,
     loop_and_multi_edge_graphs,
     signed_graphs,
 )
@@ -621,6 +623,28 @@ class TestEqualInvariantsEqualCounts:
         for left, right in group_pairs_same_invariants(abelian_groups_up_to(16)):
             for graph in graphs:
                 assert count_group_flows(graph, left) == count_group_flows(graph, right)
+
+
+class TestKeptPlan:
+    def test_each_count_matches_a_count_with_no_plan_kept(self, monkeypatch):
+        a = k4_with_signs([1, -1, 1, 1, -1, 1])
+        b = k4_with_signs([1, 1, 1, 1, 1, 1])
+        tau = default_orientation(a)
+        copy = g(4, *((e.u, e.v, e.sign) for e in a.edges))
+        assert copy == a and copy is not a
+        steps = [(a, tau), (b, default_orientation(b)), (a, tau),
+                 (copy, Orientation(tau.taus)), (a, reverse_edge(tau, 0))]
+        gamma = FiniteAbelianGroup((4, 2))
+        fresh = []
+        for graph, t in steps:
+            monkeypatch.setattr("signedflow.oracle._last_plan", ((None, None), None))
+            fresh.append((count_group_flows(graph, gamma, tau=t), _plan(graph, t)))
+        monkeypatch.setattr("signedflow.oracle._last_plan", ((None, None), None))
+        assert [(count_group_flows(graph, gamma, tau=t), _plan(graph, t)) for graph, t in steps] == fresh
+        # B's plan and A's under the reversed edge differ from A's, so a plan
+        # kept under the wrong key would show
+        assert fresh[1][1] != fresh[0][1] != fresh[4][1]
+        assert [count for count, _ in fresh] == [114, 210, 114, 114, 114]
 
 
 class TestBudget:
