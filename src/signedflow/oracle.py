@@ -18,7 +18,6 @@ long runs.  Counts are plain Python ints, so they never overflow.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
 from math import prod
 
 from .graph import (
@@ -89,21 +88,26 @@ def _plan(g: SignedGraph, tau: Orientation) -> tuple[list, list, set[int]]:
 
     One pass over :func:`frontier_walk`, with each edge's tau from
     :func:`_forest_switched`, gives each edge its record ``(slot of u, slot
-    of v, tau0, tau1, ends it closes, vertices open after it)``, a closing
-    end first; ``ahead`` holds, per edge and end, the factor the end's last
-    edge adds x with there if this is its next-to-last edge (tau at that
-    end, or tau0 + tau1 for a loop), else None; ``forced`` holds the
-    position of each component's last edge with tau0 = tau1 where that is
-    not the component's last edge.  Only the last plan is kept, keyed by
-    the value of ``(g, tau)``, so the counts of one graph over many groups
-    or many n plan it once.  The plan is read, never changed.
+    of v, k_u, k_v, ends it closes, vertices it leaves open, vertices open
+    after it)``, a closing end first: the edge adds k_u * x at u and k_v * x
+    at v.  A loop's second end is the phantom slot, one place past the
+    walk's last slot, whose sum is always 0: the loop adds 0 * x there and
+    (tau0 + tau1) * x at its vertex, and the phantom end closes when the
+    vertex does.  ``ahead`` holds, per edge and end, the factor the end's
+    last edge adds x with there if this is its next-to-last edge, else
+    None; ``forced`` holds the position of each component's last edge with
+    tau0 = tau1 where that is not the component's last edge.  Only the last
+    plan is kept, keyed by the value of ``(g, tau)``, so the counts of one
+    graph over many groups or many n plan it once.  The plan is read, never
+    changed.
     """
     global _last_plan
     key, plan = _last_plan
     if key == (g, tau):
         return plan
     walk = frontier_walk(g)
-    edges: list[tuple[int, int, int, int, int, int]] = []
+    phantom = 1 + max((max(step[1:3]) for step in walk), default=0)
+    edges: list[tuple[int, int, int, int, int, int, int]] = []
     ahead: list[list[int | None]] = []
     # per open slot that has had an edge: (position, end) of its latest edge
     latest: dict[int, tuple[int, int]] = {}
@@ -115,7 +119,7 @@ def _plan(g: SignedGraph, tau: Orientation) -> tuple[list, list, set[int]]:
     for pos, ((_, su, sv, opened, freed), (t0, t1)) in enumerate(zip(walk, switched)):
         if t0 + t1:
             charged = pos
-        closes = len(freed)
+        closes, opens = len(freed), len({su, sv}) - len(freed)
         num_open += len(opened) - closes
         if not num_open:  # the component ends here
             if 0 <= charged < pos:
@@ -130,7 +134,9 @@ def _plan(g: SignedGraph, tau: Orientation) -> tuple[list, list, set[int]]:
         for end, w in ((1, sv), (0, su)):  # a loop's one end is u
             if w not in freed:
                 latest[w] = pos, end
-        edges.append((su, sv, t0, t1, closes, num_open))
+        if su == sv:  # a loop: its second end is the phantom, closing with its vertex
+            sv, t0, t1, closes = phantom, t0 + t1, 0, 2 * closes
+        edges.append((su, sv, t0, t1, closes, opens, num_open))
         ahead.append([None, None])
     plan = edges, ahead, forced
     _last_plan = (g, tau), plan
@@ -148,26 +154,28 @@ def _count_flows(
     transfer-matrix count along :func:`frontier_walk`: a state holds the
     sums at the open vertices, as the base-``order`` digits of one int (the
     walk's slots are the digit places), and maps to the number of partial
-    assignments that reach it.  The edge that closes a vertex is forced:
-    the value whose contribution there negates the vertex's sum is looked
-    up, not looped over.  A closed vertex's digit is 0 in every surviving
-    state, so its slot can pass to the next vertex opened.  The same lookup
-    is made one edge early: the vertex's next-to-last edge keeps only the
-    sums there that its last edge can negate, since the last edge would
-    drop every other state anyway.  This check reads only the tables the
-    closing edge reads (``mult`` with ``neg`` or ``ids``, or a loop's tally
-    of its k * x), so the step bound below and the memory are unchanged.
+    assignments that reach it.  A closed vertex's digit is 0 in every
+    surviving state, so its slot can pass to the next vertex opened.
+
+    Every edge has two ends, each a slot with a factor k (see :func:`_plan`;
+    a loop's second end is a phantom slot whose digit stays 0 and whose k
+    is 0), and one of two steps, both read by the sum d at u that a value
+    negates there: the values x with k_u * x = -d are looked up, and they
+    all add the same k_v * x at v.  An edge that closes an end is forced:
+    d is the sum at u, and if v closes too, k_v * x must negate v's sum.
+    An edge that closes no end pairs each state with every d that some
+    value negates, weighted by the number of such values.  The same lookup
+    is made one edge early: an end's next-to-last edge keeps only the sums
+    there that its last edge can negate, since the last edge would drop
+    every other state anyway.
 
     Each edge's tau comes from :func:`_forest_switched`, so a component's
     last edge with tau0 = tau1 is as early as any switching can put it.
     There, unless it is the component's last edge, the total T of a state's
     open sums (the charge, summed from its digits one residue at a time)
-    must become 0, so x must have (tau0 + tau1) * x = -T: an edge that
-    closes no end and an open loop look up the values under -T, and a loop
-    that closes its vertex, whose x is forced to take su from the charge,
-    needs T == su.  A non-loop edge that closes an end is in the forest, so
-    it is never this edge.  This reads only the value tables the edge
-    builds anyway, and the step bound is unchanged.
+    must become 0: an edge that closes no end takes only the values with
+    (k_u + k_v) * x = -T, and one that closes an end keeps a new state only
+    if its charge is 0.
 
     The walk leaves out edgeless vertices, so an edgeless graph gives an
     empty walk, which counts 1.  Otherwise the count reads the records of
@@ -176,19 +184,20 @@ def _count_flows(
     value, or a table entry): 4 * order + len(values) for the fixed tables;
     at each edge, (states before it) * (1 if it closes an end, else
     len(values)), 2 * (order + len(values)) for value tables and order per
-    addition-table row, one per sum at an end it leaves open.  There are at
-    most min(order^open, previous bound * fanout) states.  Past ``budget``
-    steps, ``BudgetExceededError`` is raised.
+    addition-table row, one per sum at a vertex it leaves open.  There are
+    at most min(order^open, previous bound * fanout) states.  Past
+    ``budget`` steps, ``BudgetExceededError`` is raised.
     """
     budget = _as_int(budget, "budget", least=0)
     edges, ahead, forced = _plan(g, tau)
     if not edges:
         return 1
-    r, num_values = gamma.order, sum(map(len, values))
+    # a range's length is stop - start: len() fails past sys.maxsize
+    r, num_values = gamma.order, sum(p.stop - p.start for p in values)
     num_open, steps, bound = 0, 4 * r + num_values, 1
-    for pos, (su, sv, _, _, closes, after) in enumerate(edges):
+    for pos, (*_, closes, opens, after) in enumerate(edges):
         fanout = 1 if closes else num_values
-        steps += bound * fanout + 2 * (r + num_values) + min(bound * ((su != sv) + 1 - closes), r) * r
+        steps += bound * fanout + 2 * (r + num_values) + min(bound * opens, r) * r
         if steps > budget:
             raise BudgetExceededError(
                 f"up to {steps} transfer-matrix steps by edge {pos + 1} of {len(edges)} "
@@ -196,44 +205,44 @@ def _count_flows(
             )
         bound, num_open = min(bound * fanout, r**after), after
 
-    scaled: dict[int, list[int]] = {}
-
-    def times(k: int) -> list[int]:
-        """Index of k * x for every value x."""
-        if k not in scaled:
-            table = gamma.index_table(0, k)
-            scaled[k] = [table[x] for part in values for x in part]
-        return scaled[k]
-
     neg = gamma.index_table(0, -1)
     # every row refers to these int objects rather than holding its own copies
     ids = list(range(r))
     mult = [0] * r
     for p in values:
         mult[p.start : p.stop] = [m + 1 for m in mult[p.start : p.stop]]
-    rows: list[list[int] | None] = [None] * r
+    # row 0 is ids, so a state whose sum is 0 at an end builds no row
+    rows: list[list[int] | None] = [ids] + [None] * (r - 1)
 
     def row(s: int) -> list[int]:
         rows[s] = [ids[x] for x in gamma.index_table(s, 1)]
         return rows[s]
 
-    tallies: dict[int, Counter] = {}
+    # by k: the index of k * a for each element a, and how many values x
+    # give each k * x
+    tables, tallies = {1: ids, -1: neg}, {1: mult}
 
-    def tally(k: int) -> Counter:
-        """How many values x give each k * x."""
+    def table(k: int) -> list[int]:
+        if k not in tables:
+            tables[k] = gamma.index_table(0, k)
+        return tables[k]
+
+    def tally(k: int) -> list[int]:
         if k not in tallies:
-            tallies[k] = Counter(times(k))
+            by_element, counts = table(k), [0] * r
+            for part in values:
+                for x in part:
+                    counts[by_element[x]] += 1
+            tallies[k] = counts
         return tallies[k]
 
-    def closable(k: int | None) -> tuple[list[int] | None, list[int] | Counter | None]:
-        """``(via, look)`` for a vertex whose last edge adds k * x there: a
-        new digit d there survives iff ``look[via[d]]``, the number of values
-        with which that edge negates d; ``k is None`` checks nothing."""
+    def closable(k: int | None) -> tuple[list[int] | None, list[int] | None]:
+        """``(via, look)`` for an end whose last edge adds k * x there: a
+        digit d there can be closed by ``look[via[d]]`` values, those with
+        k * x = -d; ``k is None`` checks nothing."""
         if k is None:
             return None, None
-        if k in (1, -1):
-            return neg if k == 1 else ids, mult
-        return neg, tally(k)
+        return (ids, mult) if k == -1 else (neg, tally(k))
 
     # (place value, modulus) of each residue in an element's index
     radix = [(prod(gamma.moduli[k + 1 :]), m) for k, m in enumerate(gamma.moduli)]
@@ -250,54 +259,22 @@ def _count_flows(
             total += residue % m * place
         return total
 
-    def by_charge(moves: list, adds: Iterable[int]) -> dict[int, list]:
-        """The moves by the index of the k * x each adds to the charge
-        (k = tau0 + tau1): a state of charge T keeps those under -T."""
-        out: dict[int, list] = {}
-        for move, a in zip(moves, adds):
-            out.setdefault(a, []).append(move)
-        return out
-
     states = {0: 1}
-    for pos, ((slot_u, slot_v, t0, t1, closes, _), (cu, cv)) in enumerate(zip(edges, ahead)):
+    for pos, ((slot_u, slot_v, k_u, k_v, closes, _, _), (cu, cv)) in enumerate(zip(edges, ahead)):
         pu, pv, force = r**slot_u, r**slot_v, pos in forced
         new: dict[int, int] = {}
         get = new.get
         via_u, look_u = closable(cu)
         via_v, look_v = closable(cv)
-        if pu == pv:
-            # a loop adds tau0*x + tau1*x at its one vertex
-            adds = tally(t0 + t1)
-            if closes:
-                for s, c in states.items():
-                    su = s // pu % r
-                    k = adds.get(neg[su])
-                    # it takes su from the charge, which must then be 0
-                    if k and (not force or charge(s) == su):
-                        key = s - su * pu
-                        new[key] = get(key, 0) + c * k
-            else:
-                moves = list(adds.items())
-                solve = by_charge(moves, adds) if force else {}
-                for s, c in states.items():
-                    su = s // pu % r
-                    row_u = rows[su] or row(su)
-                    base = s - su * pu
-                    for a, k in solve.get(neg[charge(s)], ()) if force else moves:
-                        du = row_u[a]
-                        if cu is None or look_u[via_u[du]]:
-                            key = base + du * pu
-                            new[key] = get(key, 0) + c * k
-        elif closes:
-            # u closes: the forced value x has tau0*x = -su; it is
-            # mult[x_of[su]] values, and adds tau1*x = b_of[su] at v
-            # (never forced: its closing end meets no later edge, so it is
-            # in the forest of _forest_switched and has tau0 = -tau1)
-            x_of = neg if t0 == 1 else ids
-            b_of = neg if t0 == t1 else ids
+        # look[via[d]] values x have k_u * x = -d, and each adds k_v * x =
+        # b_of[d] at v (x = -k_u * d off a loop, where k_u = +-1, and a
+        # loop's phantom end has k_v = 0)
+        via, look = closable(k_u)
+        b_of = table(-k_u * k_v)
+        if closes:  # u closes: d is its sum
             for s, c in states.items():
                 su, sv = s // pu % r, s // pv % r
-                k = mult[x_of[su]]
+                k = look[via[su]]
                 if not k:
                     continue
                 key = s - su * pu - sv * pv
@@ -306,22 +283,30 @@ def _count_flows(
                     if cv is not None and not look_v[via_v[dv]]:
                         continue
                     key += dv * pv
-                elif neg[b_of[su]] != sv:  # v closes too: tau1*x must negate its sum
+                elif neg[b_of[su]] != sv:  # v closes too: k_v * x must negate its sum
                     continue
-                new[key] = get(key, 0) + c * k
+                if not force or not charge(key):
+                    new[key] = get(key, 0) + c * k
         else:
-            moves = list(zip(times(t0), times(t1)))
-            solve = by_charge(moves, times(t0 + t1)) if force else {}
+            # one move per d: it adds -d at u, b_of[d] at v and
+            # -(1 + k_u * k_v) * d to the charge, for look[via[d]] values
+            sums = [d for d in ids if look[via[d]]]
+            moves = [(neg[d], b_of[d], look[via[d]]) for d in sums]
+            if force:  # a state of charge T takes the moves that add -T to it
+                solve: dict[int, list] = {}
+                adds = table(1 + k_u * k_v)
+                for d, move in zip(sums, moves):
+                    solve.setdefault(adds[d], []).append(move)
             for s, c in states.items():
                 su, sv = s // pu % r, s // pv % r
                 row_u = rows[su] or row(su)
                 row_v = rows[sv] or row(sv)
                 base = s - su * pu - sv * pv
-                for a, b in solve.get(neg[charge(s)], ()) if force else moves:
+                for a, b, k in solve.get(charge(s), ()) if force else moves:
                     du, dv = row_u[a], row_v[b]
                     if (cu is None or look_u[via_u[du]]) and (cv is None or look_v[via_v[dv]]):
                         key = base + du * pu + dv * pv
-                        new[key] = get(key, 0) + c
+                        new[key] = get(key, 0) + c * k
         states = new
     return states.get(0, 0)
 

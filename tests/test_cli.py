@@ -112,6 +112,13 @@ class TestCount:
         assert code == 0
         assert out.splitlines()[-1] == f"nowhere-zero flows: {(2**14400 + 2) // 3}"
 
+    def test_a_group_of_order_past_sys_maxsize_is_a_budget_refusal(self, capsys, write_graph):
+        # its 2^63 nonzero values are one range, too long for len()
+        path = write_graph(g(2, (0, 1, 1)))
+        assert cli.main(["count", "--graph", path, "--group", str(2**63 + 1)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: up to ") and err.endswith(" exceed budget 100000000\n")
+
     def test_negative_budget_is_an_input_error(self, capsys, write_graph):
         code, out = run_cli(
             capsys, "count", "--graph", write_graph(TRIANGLE), "--group", "3", "--budget", "-5",
@@ -367,6 +374,19 @@ class TestVerify:
         assert (code, out, err) == (child.returncode, child.stdout, child.stderr)
         assert code == 3
         assert "Z7: up to " in out + err
+
+    def test_groups_are_listed_one_order_at_a_time(self, write_graph):
+        # every group up to 10^12 would not fit in memory; the refusal at
+        # Z16 x Z7 comes before any group past it is listed
+        path = write_graph(g(2, (0, 1, 1)))
+        src = Path(cli.__file__).resolve().parent.parent
+        runs = [subprocess.run([sys.executable, "-m", "signedflow.cli", "verify", "--graph", path,
+                                "--max-order", max_order, "--budget", "1000"], capture_output=True,
+                               text=True, timeout=30, env=dict(os.environ, PYTHONPATH=str(src)))
+                for max_order in ("200", "1000000000000")]
+        assert [(run.returncode, run.stdout, run.stderr) for run in runs] == [
+            (3, runs[0].stdout, runs[0].stderr)] * 2
+        assert runs[0].stderr.startswith("error: Z16 x Z7: up to ")
 
     def test_mismatch_exits_one(self, capsys, write_graph, monkeypatch):
         monkeypatch.setattr(cli.oracle, "count_group_flows", lambda *a, **k: 987654)

@@ -688,6 +688,32 @@ class TestBudget:
         with pytest.raises(BudgetExceededError, match="by edge 2 of 3 with 2 vertices open"):
             count_group_flows(digon_and_loop, FiniteAbelianGroup((1000,)), budget=10**5)
 
+    @pytest.mark.parametrize("count", [
+        lambda: count_group_flows(POS_EDGE, FiniteAbelianGroup((2**63 + 1,))),
+        lambda: count_integer_nflows(POS_EDGE, 2**64),
+    ], ids=["group-of-order-2^63+1", "integer-2^64-flows"])
+    def test_more_values_than_sys_maxsize_are_a_refusal(self, count):
+        # len() of a range longer than sys.maxsize raises OverflowError
+        with pytest.raises(BudgetExceededError, match="by edge 1 of 1 with 0 vertices open exceed budget"):
+            count()
+
+    @pytest.mark.parametrize("moduli", [(100,), (2, 50)])
+    @pytest.mark.parametrize("graph", [DIGON_PM, TWO_NEG_LOOPS, TRIANGLE_ONE_NEG],
+                             ids=["pm-digon", "two-neg-loops", "triangle-one-neg"])
+    def test_no_row_is_built_where_the_bound_charges_none(self, monkeypatch, graph, moduli):
+        # each edge here starts from sums of 0 or closes every end it has, so
+        # the bound charges no addition-table row for a nonzero sum
+        calls = []
+        index_table = FiniteAbelianGroup.index_table
+
+        def recording(self, shift, scale):
+            calls.append((shift, scale))
+            return index_table(self, shift, scale)
+
+        monkeypatch.setattr(FiniteAbelianGroup, "index_table", recording)
+        assert count_group_flows(graph, FiniteAbelianGroup(moduli)) > 0
+        assert calls and [(shift, scale) for shift, scale in calls if scale == 1 and shift] == []
+
     def test_double_sum_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             count_double_sum_solutions(8, FiniteAbelianGroup((16,)), budget=100)
