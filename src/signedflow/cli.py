@@ -168,6 +168,10 @@ def _cmd_switch(args, results: dict, human: list[str]) -> int:
 def _cmd_intflow(args, results: dict, human: list[str]) -> int:
     g = _load_graph(args["graph"])
     _as_int(args["n_max"], "n-max", least=1)
+    if args["fit"]:  # refused before any count is made
+        from . import engine
+
+        _as_int(args["n_max"], "n-max with --fit", least=engine._FIT_MIN_N)
     # filled as the counts are made, so that a refusal's report keeps them
     rows = results["counts"] = []
     for n in range(1, args["n_max"] + 1):
@@ -178,8 +182,6 @@ def _cmd_intflow(args, results: dict, human: list[str]) -> int:
         rows.append({"n": n, "count": count})
         human.append(f"n={n}: {count}")
     if args["fit"]:
-        from . import engine
-
         fit = engine.fit_quasipolynomial((row["n"], row["count"]) for row in rows)
         results["fit"] = {
             "p_even": _poly_json(fit.p_even),
@@ -361,7 +363,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    code = main()
+    failed = None
+    try:
+        code = main()
+    except Exception as exc:
+        # main failed while reporting another fault, say with a MemoryError;
+        # only the name is kept, so the exception and the frames it holds are
+        # freed when this block ends, before anything is written
+        failed, code = type(exc).__name__, EXIT_INTERNAL
+    if failed is not None:
+        try:
+            sys.stderr.write(f"error: internal error: {failed}\n")
+        except OSError:
+            pass
     # Every object alive now lives until the process ends, so the collection
     # that the interpreter runs at exit need not scan them: freezing them
     # saved 4-8 ms of every command, most of it on objects that site's

@@ -135,8 +135,9 @@ def _frontier_sum(g: SignedGraph) -> _Bivariate:
     k + ``room`` * u, so adding two sums is one int addition, k + 1 is a
     shift by ``width`` and u + 1 a shift by ``width * room``.  Every
     coefficient sums at most 2^|E| terms of +-1, so a digit never
-    overflows, and k <= |E| - |V| + c < ``room`` for c components, counted
-    as the times no vertex is open after an edge.
+    overflows, and k <= |E| - |V| + c < ``room``, |V| counting the slots
+    the walk opens and c the components, the steps that leave no vertex
+    open.
 
     A loop is an edge with both ends at one slot: in A it adds a cycle, and
     a negative one unbalances its block.  A positive loop changes no state,
@@ -148,22 +149,19 @@ def _frontier_sum(g: SignedGraph) -> _Bivariate:
     m = g.num_edges
     width = (m + 9) // 8 * 8  # whole bytes, and |digit| <= 2^m < 2^(width - 1)
     x = 1 << width
-    open_now = vertices = components = 0
-    for _, _, _, opened, freed in walk:
-        vertices += len(opened)
-        open_now += len(opened) - len(freed)
-        components += not open_now
-    room = m - vertices + components + 1
+    # m - |V| + c + 1: each step opens its vertices, and ends a component
+    # when it leaves none open
+    room = m + 1 + sum((not num_open) - len(opened) for _, _, _, opened, _, num_open in walk)
     level = width * room
 
     # every slot is free at the start, and again after the last edge
-    slots = 1 + max(max(su, sv) for _, su, sv, _, _ in walk)
+    slots = 1 + max(max(step[1:3]) for step in walk)
     start = tuple(p << 2 for p in range(slots))
     # ranks the vertices in the slots by when they leave, ties to the lower slot
     leave = [0] * slots
     states = {start: 1}
     positive = 0
-    for i, su, sv, opened, freed in walk:
+    for i, su, sv, opened, freed, _ in walk:
         for p, last in opened:
             leave[p] = last * slots - p
         negative = g.edges[i].sign < 0
@@ -262,6 +260,10 @@ class QuasiPolynomialFit(Record):
         self.sample_range = sample_range
 
 
+# the least n_max a fit takes: three samples per parity class
+_FIT_MIN_N = 6
+
+
 def fit_quasipolynomial(samples: Iterable[tuple[int, int]]) -> QuasiPolynomialFit:
     """Fit one exact polynomial per parity class to counts sampled at
     consecutive n = 1..n_max (n_max >= 6).
@@ -274,8 +276,8 @@ def fit_quasipolynomial(samples: Iterable[tuple[int, int]]) -> QuasiPolynomialFi
     if not pts or [n for n, _ in pts] != list(range(1, len(pts) + 1)):
         raise ValueError("samples must cover consecutive n = 1..n_max exactly once")
     n_max = pts[-1][0]
-    if n_max < 6:
-        raise ValueError(f"need samples up to at least n = 6, got n_max = {n_max}")
+    if n_max < _FIT_MIN_N:
+        raise ValueError(f"need samples up to at least n = {_FIT_MIN_N}, got n_max = {n_max}")
 
     fitted: dict[int, Poly] = {}
     validated = True

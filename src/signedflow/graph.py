@@ -281,11 +281,13 @@ def frontier_order(g: SignedGraph) -> list[int]:
 
 def frontier_walk(
     g: SignedGraph,
-) -> list[tuple[int, int, int, tuple[tuple[int, int], ...], tuple[int, ...]]]:
+) -> list[tuple[int, int, int, tuple[tuple[int, int], ...], tuple[int, ...], int]]:
     """The edges of ``g`` in :func:`frontier_order`, each with the slots its
     ends hold while open: ``(edge id, slot of u, slot of v, slots opened at
-    this edge, slots freed after it)``.  Each opened slot comes as ``(slot,
-    position)``, the position in the walk of its vertex's last edge.
+    this edge, slots freed after it, vertices open after it)``.  Each
+    opened slot comes as ``(slot, position)``, the position in the walk of
+    its vertex's last edge.  No vertex is open after an edge exactly when
+    that edge ends a connected component.
 
     A vertex takes a slot at its first edge and frees it after its last; a
     new vertex takes the slot freed most recently, else a new one, so there
@@ -295,7 +297,7 @@ def frontier_walk(
     declared vertex, and an edgeless graph gives an empty walk.
 
     >>> frontier_walk(SignedGraph.from_edges(3, [(1, 2, 1), (0, 1, -1), (2, 2, 1)]))
-    [(1, 0, 1, ((0, 0), (1, 1)), (0,)), (0, 1, 0, ((0, 2),), (1,)), (2, 0, 0, (), (0,))]
+    [(1, 0, 1, ((0, 0), (1, 1)), (0,), 1), (0, 1, 0, ((0, 2),), (1,), 1), (2, 0, 0, (), (0,), 0)]
     """
     g = drop_edgeless_vertices(g)
     order = frontier_order(g)
@@ -318,7 +320,7 @@ def frontier_walk(
                 opened.append((slot[w], last[w]))
         freed = tuple(slot[w] for w in ends if last[w] == pos)
         free.extend(freed)
-        walk.append((i, slot[u], slot[v], tuple(opened), freed))
+        walk.append((i, slot[u], slot[v], tuple(opened), freed, used - len(free)))
     return walk
 
 

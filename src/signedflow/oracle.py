@@ -90,10 +90,11 @@ def _plan(g: SignedGraph, tau: Orientation) -> tuple[list, list, set[int]]:
     :func:`_forest_switched`, gives each edge its record ``(slot of u, slot
     of v, k_u, k_v, ends it closes, vertices it leaves open, vertices open
     after it)``, a closing end first: the edge adds k_u * x at u and k_v * x
-    at v.  A loop's second end is the phantom slot, one place past the
-    walk's last slot, whose sum is always 0: the loop adds 0 * x there and
-    (tau0 + tau1) * x at its vertex, and the phantom end closes when the
-    vertex does.  ``ahead`` holds, per edge and end, the factor the end's
+    at v.  The open count after it is the walk's own, and a component ends
+    at the edge that leaves none open.  A loop's second end is the phantom
+    slot, one place past the walk's last slot, whose sum is always 0: the
+    loop adds 0 * x there and (tau0 + tau1) * x at its vertex, and the
+    phantom end closes when the vertex does.  ``ahead`` holds, per edge and end, the factor the end's
     last edge adds x with there if this is its next-to-last edge, else
     None; ``forced`` holds the position of each component's last edge with
     tau0 = tau1 where that is not the component's last edge.  Only the last
@@ -114,13 +115,12 @@ def _plan(g: SignedGraph, tau: Orientation) -> tuple[list, list, set[int]]:
     # positions of each component's last edge with tau0 = tau1 where that is
     # not the component's last edge; charged is the latest in this component
     forced: set[int] = set()
-    charged, num_open = -1, 0
+    charged = -1
     switched = _forest_switched(g, walk, tau)
-    for pos, ((_, su, sv, opened, freed), (t0, t1)) in enumerate(zip(walk, switched)):
+    for pos, ((_, su, sv, _, freed, num_open), (t0, t1)) in enumerate(zip(walk, switched)):
         if t0 + t1:
             charged = pos
         closes, opens = len(freed), len({su, sv}) - len(freed)
-        num_open += len(opened) - closes
         if not num_open:  # the component ends here
             if 0 <= charged < pos:
                 forced.add(charged)

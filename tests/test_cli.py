@@ -445,6 +445,25 @@ class TestInternalError:
         assert report["status"] == "error"
         assert report["message"].startswith("internal error: RecursionError")
 
+    def test_a_fault_while_reporting_a_fault_exits_four(self, capsys, write_graph, monkeypatch):
+        # main reports a fault by formatting it; if that fails too, run()
+        # still exits 4 with one line, never a traceback and exit 1
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.oracle, "count_group_flows", out_of_memory)
+        monkeypatch.setattr(cli, "_internal_error", out_of_memory)
+        monkeypatch.setattr("sys.argv", ["signedflow", "count", "--graph", write_graph(NEG_LOOP),
+                                         "--group", "2"])
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.run()
+        finally:
+            gc.unfreeze()  # run() froze every object alive; the session goes on collecting
+        assert exc.value.code == 4
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: internal error: MemoryError\n")
+
     @pytest.mark.parametrize("value, kind", [({1, 2}, "set"), (1.5, "float"),
                                              (Fraction(1, 2), "Fraction")])
     def test_a_report_that_cannot_be_written_exits_four(self, capsys, write_graph, monkeypatch,
@@ -709,6 +728,19 @@ class TestIntflow:
             capsys, "intflow", "--graph", write_graph(POS_LOOP), "--n-max", "4", "--fit"
         )
         assert code == 2
+
+    def test_a_short_fit_is_refused_before_any_count(self, capsys, write_graph, monkeypatch):
+        # a budget of 0 refuses every count, so exit 2 shows that none was tried
+        def no_count(*args, **kwargs):
+            raise AssertionError("counted")
+
+        argv = ["intflow", "--graph", write_graph(TRIANGLE), "--n-max", "5", "--fit"]
+        assert cli.main([*argv, "--budget", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: n-max with --fit must be at least 6, got 5\n")
+        monkeypatch.setattr(cli.oracle, "count_integer_nflows", no_count)
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 2
+        assert json.loads(out)["results"] == {}
 
     def test_budget_exhaustion_exits_three(self, capsys, write_graph):
         code, _ = run_cli(

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -258,6 +259,20 @@ class TestFrontierStates:
         monkeypatch.setattr(engine, "_contract", checked)
         for graph in acceptance_corpus() + [prism(5, "cycle"), prism(4, "rung")]:
             _frontier_sum(graph)
+
+    def test_digit_room_follows_the_cycle_rank(self):
+        # room is m - |V| + c + 1 digits, 2 on a cycle; were it m + 1, each
+        # packed sum of the 5,000-cycle would hold 5,001 digits and the pass
+        # would peak near 18 MB
+        n = 5000
+        cycle = SignedGraph(n, [(i, (i + 1) % n, -1 if i == 0 else 1) for i in range(n)])
+        tracemalloc.start()
+        try:
+            assert _frontier_sum(cycle) == {(0, 0): -1, (0, 1): 1}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestSubsetExpansion:

@@ -520,7 +520,7 @@ class TestFrontierWalk:
                 last[w] = pos
         holder: dict[int, int] = {}  # slot -> the open vertex in it
         leaves: dict[int, int] = {}  # slot -> the leave position it opened with
-        for pos, (i, su, sv, opened, freed) in enumerate(walk):
+        for pos, (i, su, sv, opened, freed, num_open) in enumerate(walk):
             u, v, _ = graph.edges[i]
             slot = {u: su, v: sv}
             for w in slot:
@@ -534,8 +534,9 @@ class TestFrontierWalk:
             for p in freed:
                 del holder[p]
                 assert leaves.pop(p) == pos  # freed right after the position it opened with
+            assert num_open == len(holder)  # the open count, recounted
         assert not holder and not leaves
-        used = {p for _, su, sv, _, _ in walk for p in (su, sv)}
+        used = {p for _, su, sv, *_ in walk for p in (su, sv)}
         assert used == set(range(open_vertex_peak(graph, order)))
 
     @given(signed_graphs(max_vertices=5, max_edges=7), st.integers(0, 4), st.randoms())
@@ -558,11 +559,7 @@ class TestFrontierWalk:
         # many as components exactly when each stretch is one component.
         graph = disjoint_union(parts, rng)  # the components' edges interleave
         walk = frontier_walk(graph)
-        open_now, closed_at = 0, []
-        for pos, (_, _, _, opened, freed) in enumerate(walk):
-            open_now += len(opened) - len(freed)
-            if not open_now:
-                closed_at.append(pos)
+        closed_at = [pos for pos, step in enumerate(walk) if not step[5]]
         assert len(closed_at) == len(connected_components(drop_edgeless_vertices(graph)))
         assert not walk or closed_at[-1] == len(walk) - 1
 

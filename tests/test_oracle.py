@@ -351,7 +351,7 @@ def value_set_reference(graph: SignedGraph, tau: Orientation, r: int, values: tu
 
 def closes_at_its_next_edge(walk, pos: int, slot: int) -> bool:
     """Whether the next edge after ``pos`` at ``slot`` closes that slot's vertex."""
-    for _, su, sv, _, freed in walk[pos + 1:]:
+    for _, su, sv, _, freed, _ in walk[pos + 1:]:
         if slot in (su, sv):
             return slot in freed
     return False
@@ -361,7 +361,7 @@ def closing_shapes(graph: SignedGraph) -> set[str]:
     """The ways of closing a vertex that the walk of ``graph`` takes."""
     walk = frontier_walk(graph)
     shapes = set()
-    for pos, (i, su, sv, _, freed) in enumerate(walk):
+    for pos, (i, su, sv, _, freed, _) in enumerate(walk):
         if su == sv and freed:
             shapes.add("last edge a positive loop" if graph.edges[i].sign == 1 else "last edge a negative loop")
         if len(freed) == 2:
@@ -451,10 +451,9 @@ def any_taus(draw, graph: SignedGraph):
 def last_charged(walk, taus) -> list[int]:
     """Per component of the walk, the position of its last edge with
     tau0 = tau1, or -1."""
-    out, last, num_open = [], -1, 0
-    for pos, ((_, _, _, opened, freed), (t0, t1)) in enumerate(zip(walk, taus)):
+    out, last = [], -1
+    for pos, ((*_, num_open), (t0, t1)) in enumerate(zip(walk, taus)):
         last = pos if t0 == t1 else last
-        num_open += len(opened) - len(freed)
         if not num_open:
             out.append(last)
             last = -1
@@ -467,13 +466,12 @@ def forcing_shapes(graph: SignedGraph) -> set[str]:
     where that is not the component's last edge."""
     walk = frontier_walk(graph)
     last = iter(last_charged(walk, _forest_switched(graph, walk, default_orientation(graph))))
-    shapes, num_open = set(), 0
-    for pos, (_, _, _, opened, freed) in enumerate(walk):
-        num_open += len(opened) - len(freed)
+    shapes = set()
+    for pos, (*_, num_open) in enumerate(walk):
         if not num_open:
             forced = next(last)
             if 0 <= forced < pos:
-                _, su, sv, _, closes = walk[forced]
+                _, su, sv, _, closes, _ = walk[forced]
                 shapes.add("a loop that closes its vertex" if su == sv and closes
                            else "a loop" if su == sv else "an edge that closes no end")
     return shapes
