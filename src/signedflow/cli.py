@@ -3,16 +3,18 @@
 Reports are printed either as human-readable lines or, with --json, as a
 deterministic JSON document (sorted keys, exact decimal integers only).
 
-A command's process loads only the modules it runs.  Options are read by
-one table, ``_OPTIONS``, rather than by argparse, whose import and parser
-building took about 4 ms of every command's start-up; a refusal is then an
-input error like any other, and a JSON report under --json.  JSON reports
-are written by ``_json_text``, not by the json module (about 2 ms to
-import).  The engine, and the polynomial module with it, is imported only
-by poly, verify and intflow --fit.
+A command's process loads only the modules it runs.  Each command is one
+entry of ``_COMMANDS``: its handler and its options.  The options are read
+by that table, not by argparse, whose import and parser building took about
+4 ms of every command's start-up; a refusal is then an input error like any
+other, and a JSON report under --json.  JSON reports are written by
+``_json_text``, not by the json module (about 2 ms to import).  The engine,
+and the polynomial module with it, is imported only by poly, verify and
+intflow --fit.
 
 Exit codes: 0 success / all-pass, 1 verification mismatch, 2 input error,
-3 search budget exceeded, 4 internal error or a report that cannot be written.
+3 search budget exceeded, 4 internal error or a report that cannot be written,
+130 interrupted (Ctrl-C); the report keeps what was counted before it.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ from .groups import FiniteAbelianGroup, abelian_groups_of_order, group_pairs_sam
 # unused here; perfbench/tracing.py wraps this name on this module, and each
 # name it wraps must resolve
 from .groups import abelian_groups_up_to  # noqa: F401
-from .values import _as_int, _int_text
+from .values import _as_int, _int_list, _int_text
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process that Ctrl-C ended
 
 
 def _load_graph(path: str) -> SignedGraph:
@@ -50,11 +53,6 @@ def _load_graph(path: str) -> SignedGraph:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _parse_vertex_list(text: str) -> set[int]:
-    tokens = text.split(",") if text.strip() else []
-    return {_int_text(tok.strip(), "vertex") for tok in tokens}
-
-
 def _coeff_json(c) -> int | str:
     """An int as it is, a Fraction (only a fit has them) as its text, ``p/q``."""
     return c if isinstance(c, int) else str(c)
@@ -68,8 +66,16 @@ def _group_json(g: FiniteAbelianGroup) -> dict:
     return {"spec": g.spec(), "label": g.label(), "order": g.order, "two_rank": g.two_rank}
 
 
-def _cmd_count(args, results: dict, human: list[str]) -> int:
-    g = _load_graph(args["graph"])
+def _counted(label: str, count, g: SignedGraph, size, budget: int) -> int:
+    """``count(g, size, budget=budget)``, one count of verify's groups or of
+    intflow's n; a refusal names which one it was."""
+    try:
+        return count(g, size, budget=budget)
+    except oracle.BudgetExceededError as exc:
+        raise oracle.BudgetExceededError(f"{label}: {exc}") from None
+
+
+def _cmd_count(g: SignedGraph, args, results: dict, human: list[str]) -> int:
     gamma = parse_group_spec(args["group"])
     n = oracle.count_group_flows(g, gamma, budget=args["budget"])
     results.update(count=n, group=_group_json(gamma),
@@ -82,8 +88,7 @@ def _cmd_count(args, results: dict, human: list[str]) -> int:
     return EXIT_OK
 
 
-def _cmd_poly(args, results: dict, human: list[str]) -> int:
-    g = _load_graph(args["graph"])
+def _cmd_poly(g: SignedGraph, args, results: dict, human: list[str]) -> int:
     _as_int(args["d_max"], "d-max", least=0)
     from . import engine
 
@@ -96,8 +101,7 @@ def _cmd_poly(args, results: dict, human: list[str]) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, results: dict, human: list[str]) -> int:
-    g = _load_graph(args["graph"])
+def _cmd_verify(g: SignedGraph, args, results: dict, human: list[str]) -> int:
     max_order = _as_int(args["max_order"], "max-order", least=1)
     from . import engine
 
@@ -105,7 +109,6 @@ def _cmd_verify(args, results: dict, human: list[str]) -> int:
     family = engine.flow_polynomial_family(g, max_order.bit_length() - 1)
     # filled as the counts are made, so that a refusal's report keeps them
     group_rows = results["groups"] = []
-    all_pass = True
     counts: dict[FiniteAbelianGroup, int] = {}
     # the groups are listed one order at a time, so none past a refusal is
     # listed at all
@@ -113,12 +116,9 @@ def _cmd_verify(args, results: dict, human: list[str]) -> int:
         d = gamma.two_rank
         n = gamma.order // 2**d
         expected = family[d](n)
-        try:
-            actual = counts[gamma] = oracle.count_group_flows(g, gamma, budget=args["budget"])
-        except oracle.BudgetExceededError as exc:
-            raise oracle.BudgetExceededError(f"{gamma.label()}: {exc}") from None
+        actual = counts[gamma] = _counted(gamma.label(), oracle.count_group_flows, g, gamma,
+                                          args["budget"])
         ok = expected == actual
-        all_pass = all_pass and ok
         group_rows.append({"group": _group_json(gamma), "n": n,
                            "oracle": actual, "polynomial": expected,
                            "pass": ok})
@@ -131,12 +131,12 @@ def _cmd_verify(args, results: dict, human: list[str]) -> int:
     for left, right in group_pairs_same_invariants(counts):
         cl, cr = counts[left], counts[right]
         ok = cl == cr
-        all_pass = all_pass and ok
         pair_rows.append({"left": _group_json(left), "right": _group_json(right),
                           "left_count": cl, "right_count": cr, "pass": ok})
         human.append(
             f"pair {left.label()} / {right.label()}: {cl} vs {cr} {'PASS' if ok else 'FAIL'}"
         )
+    all_pass = all(row["pass"] for row in group_rows + pair_rows)
     summary = (
         f"verified {len(group_rows)} groups and {len(pair_rows)} pairs: "
         f"{'all PASS' if all_pass else 'FAILURES found'}"
@@ -146,18 +146,15 @@ def _cmd_verify(args, results: dict, human: list[str]) -> int:
     return EXIT_OK if all_pass else EXIT_MISMATCH
 
 
-def _cmd_equiv(args, results: dict, human: list[str]) -> int:
-    g1 = _load_graph(args["graph"])
-    g2 = _load_graph(args["other"])
-    verdict = signatures_equivalent(g1, g2)
+def _cmd_equiv(g: SignedGraph, args, results: dict, human: list[str]) -> int:
+    verdict = signatures_equivalent(g, _load_graph(args["other"]))
     results["equivalent"] = verdict
     human.append(f"equivalent: {'yes' if verdict else 'no'}")
     return EXIT_OK
 
 
-def _cmd_switch(args, results: dict, human: list[str]) -> int:
-    g = _load_graph(args["graph"])
-    xs = _parse_vertex_list(args["vertices"])
+def _cmd_switch(g: SignedGraph, args, results: dict, human: list[str]) -> int:
+    xs = set(_int_list(args["vertices"], "vertex"))
     out = switch(g, xs)
     text = graph_to_text(out)
     results.update(graph_text=text, switched_at=sorted(xs))
@@ -165,8 +162,7 @@ def _cmd_switch(args, results: dict, human: list[str]) -> int:
     return EXIT_OK
 
 
-def _cmd_intflow(args, results: dict, human: list[str]) -> int:
-    g = _load_graph(args["graph"])
+def _cmd_intflow(g: SignedGraph, args, results: dict, human: list[str]) -> int:
     _as_int(args["n_max"], "n-max", least=1)
     if args["fit"]:  # refused before any count is made
         from . import engine
@@ -175,64 +171,49 @@ def _cmd_intflow(args, results: dict, human: list[str]) -> int:
     # filled as the counts are made, so that a refusal's report keeps them
     rows = results["counts"] = []
     for n in range(1, args["n_max"] + 1):
-        try:
-            count = oracle.count_integer_nflows(g, n, budget=args["budget"])
-        except oracle.BudgetExceededError as exc:
-            raise oracle.BudgetExceededError(f"n = {n}: {exc}") from None
+        count = _counted(f"n = {n}", oracle.count_integer_nflows, g, n, args["budget"])
         rows.append({"n": n, "count": count})
         human.append(f"n={n}: {count}")
     if args["fit"]:
         fit = engine.fit_quasipolynomial((row["n"], row["count"]) for row in rows)
-        results["fit"] = {
-            "p_even": _poly_json(fit.p_even),
-            "p_odd": _poly_json(fit.p_odd),
-            "validated": fit.validated,
-            "sample_range": list(fit.sample_range),
-        }
-        human.append(f"fit even n: {fit.p_even}    coeffs {_poly_json(fit.p_even)['coeffs']}")
-        human.append(f"fit odd n:  {fit.p_odd}    coeffs {_poly_json(fit.p_odd)['coeffs']}")
+        even, odd = _poly_json(fit.p_even), _poly_json(fit.p_odd)
+        results["fit"] = {"p_even": even, "p_odd": odd, "validated": fit.validated,
+                          "sample_range": list(fit.sample_range)}
+        human.append(f"fit even n: {even['text']}    coeffs {even['coeffs']}")
+        human.append(f"fit odd n:  {odd['text']}    coeffs {odd['coeffs']}")
         human.append(f"fit validated: {'yes' if fit.validated else 'no'}")
     return EXIT_OK
 
 
-# Each handler fills ``results`` and the human lines, which main owns and
-# reports, and returns its exit code; what it filled before a refusal stays
-# reported.
-_HANDLERS = {
-    "count": _cmd_count,
-    "poly": _cmd_poly,
-    "verify": _cmd_verify,
-    "equiv": _cmd_equiv,
-    "switch": _cmd_switch,
-    "intflow": _cmd_intflow,
-}
-
-
-# Each command's options: name -> (dest, reader, default).  The reader is
-# None for text, _int_text for an integer and bool for a flag, which takes no
-# value; a default of None marks a required option.  The parsed options,
-# without json, are the report's "inputs".
+# Each command: (handler, options).  main loads the graph named by --graph,
+# which every command takes, and calls the handler with it, the parsed
+# options and the results and human lines that main owns and reports; the
+# handler fills them and returns its exit code, and what it filled before a
+# refusal or an interrupt stays reported.  Options: name -> (dest, reader,
+# default).  The reader is None for text, _int_text for an integer and bool
+# for a flag, which takes no value; a default of None marks a required
+# option.  The parsed options, without json, are the report's "inputs".
 _COMMON = {"--graph": ("graph", None, None), "--json": ("json", bool, False)}
 _BUDGET = {"--budget": ("budget", _int_text, oracle.DEFAULT_BUDGET)}
-_OPTIONS = {
-    "count": {**_COMMON, **_BUDGET, "--group": ("group", None, None)},
-    "poly": {**_COMMON, "--d-max": ("d_max", _int_text, 2)},
-    "verify": {**_COMMON, **_BUDGET, "--max-order": ("max_order", _int_text, 8)},
-    "equiv": {**_COMMON, "--other": ("other", None, None)},
-    "switch": {**_COMMON, "--vertices": ("vertices", None, None)},
-    "intflow": {**_COMMON, **_BUDGET, "--n-max": ("n_max", _int_text, 8),
-                "--fit": ("fit", bool, False)},
+_COMMANDS = {
+    "count": (_cmd_count, {**_COMMON, **_BUDGET, "--group": ("group", None, None)}),
+    "poly": (_cmd_poly, {**_COMMON, "--d-max": ("d_max", _int_text, 2)}),
+    "verify": (_cmd_verify, {**_COMMON, **_BUDGET, "--max-order": ("max_order", _int_text, 8)}),
+    "equiv": (_cmd_equiv, {**_COMMON, "--other": ("other", None, None)}),
+    "switch": (_cmd_switch, {**_COMMON, "--vertices": ("vertices", None, None)}),
+    "intflow": (_cmd_intflow, {**_COMMON, **_BUDGET, "--n-max": ("n_max", _int_text, 8),
+                               "--fit": ("fit", bool, False)}),
 }
 
 
 def _parse(argv: list[str]) -> tuple[str, dict]:
-    """The command and its options, read by ``_OPTIONS``.  An option is
+    """The command and its options, read by ``_COMMANDS``.  An option is
     ``--name value`` or ``--name=value``, the last of a repeated option
     wins, and names are exact.  Every refusal is a ``ValueError``."""
     command = argv[0] if argv else ""
-    table = _OPTIONS.get(command)
-    if table is None:
-        raise ValueError(f"command must be one of {', '.join(_OPTIONS)}, got {command!r}")
+    if command not in _COMMANDS:
+        raise ValueError(f"command must be one of {', '.join(_COMMANDS)}, got {command!r}")
+    table = _COMMANDS[command][1]
     opts = {dest: default for dest, _, default in table.values()}
     tokens = iter(argv[1:])
     for token in tokens:
@@ -257,9 +238,9 @@ def _parse(argv: list[str]) -> tuple[str, dict]:
 
 
 def _usage() -> str:
-    """What --help prints: one line per command, built from ``_OPTIONS``."""
+    """What --help prints: one line per command, built from ``_COMMANDS``."""
     lines = ["usage: signedflow COMMAND --option VALUE|--option=VALUE ...  ([...] may be left out)"]
-    for command, table in _OPTIONS.items():
+    for command, (_, table) in _COMMANDS.items():
         words = [f"{name} {dest.upper()}" if default is None else f"[{name}]" if reader is bool
                  else f"[{name} {default}]" for name, (dest, reader, default) in table.items()]
         lines.append(f"  {command:<8} {' '.join(words)}")
@@ -332,7 +313,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             command, args = _parse(argv)
             inputs = {k: v for k, v in args.items() if k != "json"}
-            code = _HANDLERS[command](args, results, human)
+            code = _COMMANDS[command][0](_load_graph(args["graph"]), args, results, human)
+    except KeyboardInterrupt:
+        message, code = "interrupted", EXIT_INTERRUPTED
     except oracle.BudgetExceededError as exc:
         message, code = str(exc), EXIT_BUDGET
     except ValueError as exc:

@@ -356,10 +356,14 @@ def parse_graph_text(text: str) -> SignedGraph:
     following line is ``edge u v +`` or ``edge u v -`` with 0-based vertex
     indices.  N, u and v are ASCII decimal digits (see ``values._int_text``).
     Edge ids are assigned in file order.  A refusal of a line names it.
+    Lines end at LF, CR LF or CR, as universal newlines read them, and
+    nowhere else: a form feed, U+0085 or U+2028, where ``str.splitlines``
+    would also end a line, is whitespace or comment text.
     """
     num_vertices: int | None = None
     triples: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -10,7 +10,7 @@ import itertools
 from collections.abc import Iterable, Iterator
 from math import prod
 
-from .values import Value, _as_int, _int_text
+from .values import Value, _as_int, _int_list
 
 GroupElement = tuple[int, ...]
 
@@ -113,8 +113,7 @@ class FiniteAbelianGroup(Value):
 
 def parse_group_spec(spec: str) -> FiniteAbelianGroup:
     """Parse ``"4,2"`` into Z4 x Z2; the empty string is the trivial group."""
-    tokens = spec.split(",") if spec.strip() else []
-    return FiniteAbelianGroup(_int_text(tok.strip(), "modulus") for tok in tokens)
+    return FiniteAbelianGroup(_int_list(spec, "modulus"))
 
 
 def _partitions(k: int) -> Iterator[tuple[int, ...]]:

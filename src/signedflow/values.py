@@ -9,6 +9,7 @@ they read the slots in that order and ``cls(*values)`` rebuilds the object.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 
 
 def _as_int(value, what: str, least: int | None = None, below: int | None = None) -> int:
@@ -35,6 +36,12 @@ def _int_text(text: str, what: str, least: int | None = None) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{what} must be an integer, got {text!r}")
     return _as_int(int(text), what, least)
+
+
+def _int_list(text: str, what: str) -> Iterator[int]:
+    """The integers of a comma-separated list, each token stripped and read
+    by :func:`_int_text` as it is reached; blank text is the empty list."""
+    return (_int_text(tok.strip(), what) for tok in (text.split(",") if text.strip() else ()))
 
 
 class Record:

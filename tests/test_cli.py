@@ -157,6 +157,37 @@ def test_bad_sign_in_a_graph_file_names_the_file_and_line(capsys, tmp_path):
     assert json.loads(out)["message"] == message
 
 
+@pytest.mark.parametrize("data", [b"vertices 1\r\nedge 0 0 -\r\n", b"vertices 1\redge 0 0 -\r",
+                                  "# caf\u2028 note\nvertices 1\nedge 0 0 -\n".encode()],
+                         ids=["CRLF", "CR", "LS-in-a-comment"])
+def test_a_graph_file_breaks_lines_only_where_the_file_does(capsys, tmp_path, data):
+    path = tmp_path / "loop.txt"
+    path.write_bytes(data)
+    code, out = run_cli(capsys, "count", "--graph", str(path), "--group", "2,2", "--json")
+    assert code == 0
+    assert json.loads(out)["results"]["count"] == 3
+
+
+# main loads --graph before the handler checks any option, so of two faults
+# the unreadable file is the one reported, with the options as parsed
+@pytest.mark.parametrize("argv, inputs", [
+    (["poly", "--d-max", "-1"], {"d_max": -1}),
+    (["verify", "--max-order", "0"], {"budget": 10**8, "max_order": 0}),
+    (["intflow", "--n-max", "0", "--fit"], {"budget": 10**8, "fit": True, "n_max": 0}),
+], ids=["poly", "verify", "intflow"])
+def test_an_unreadable_graph_is_reported_before_other_faults(capsys, tmp_path, argv, inputs):
+    missing = str(tmp_path / "missing.txt")
+    message = f"cannot read graph file {missing!r}: "
+    assert cli.main([*argv, "--graph", missing]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.startswith(f"error: {message}")) == ("", True)
+    code, out = run_cli(capsys, *argv, "--graph", missing, "--json")
+    assert code == 2
+    report = json.loads(out)
+    assert report["message"].startswith(message)
+    assert (report["inputs"], report["results"]) == ({"graph": missing, **inputs}, {})
+
+
 class TestOptions:
     @pytest.mark.parametrize("argv, message", [
         (["verify", "--graph", "G", "--budget", "1_000"], "budget must be an integer, got '1_000'"),
@@ -428,10 +459,10 @@ class TestVerify:
 
 class TestInternalError:
     def test_unexpected_error_exits_four(self, capsys, write_graph, monkeypatch):
-        def crash(args, results, human):
+        def crash(g, args, results, human):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setitem(cli._HANDLERS, "count", crash)
+        monkeypatch.setitem(cli._COMMANDS, "count", (crash, cli._COMMANDS["count"][1]))
         path = write_graph(NEG_LOOP)
         assert cli.main(["count", "--graph", path, "--group", "2"]) == 4
         captured = capsys.readouterr()
@@ -468,12 +499,12 @@ class TestInternalError:
                                              (Fraction(1, 2), "Fraction")])
     def test_a_report_that_cannot_be_written_exits_four(self, capsys, write_graph, monkeypatch,
                                                         value, kind):
-        def stand_in(args, results, human):
+        def stand_in(g, args, results, human):
             results["count"] = value
             human.append("nowhere-zero flows: ?")
             return 0
 
-        monkeypatch.setitem(cli._HANDLERS, "count", stand_in)
+        monkeypatch.setitem(cli._COMMANDS, "count", (stand_in, cli._COMMANDS["count"][1]))
         argv = ["count", "--graph", write_graph(NEG_LOOP), "--group", "2"]
         assert cli.main([*argv, "--json"]) == 4
         captured = capsys.readouterr()
@@ -485,6 +516,51 @@ class TestInternalError:
         # human mode does not print results, so it has nothing to refuse
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == "nowhere-zero flows: ?\n"
+
+
+class TestInterrupt:
+    @pytest.mark.parametrize("argv, counter, rows", [
+        (["verify", "--max-order", "6"], "count_group_flows", "groups"),
+        (["intflow", "--n-max", "6"], "count_integer_nflows", "counts"),
+    ], ids=["verify", "intflow"])
+    def test_ctrl_c_keeps_the_counts_made_and_exits_130(self, capsys, write_graph, monkeypatch,
+                                                        argv, counter, rows):
+        argv = [*argv, "--graph", write_graph(NEG_LOOP)]
+        assert cli.main(argv) == 0
+        made = capsys.readouterr().out.splitlines()[:2]
+        counted = getattr(cli.oracle, counter)
+        calls = []
+
+        def interrupted_at_the_third(*args, **kwargs):
+            calls.append(args)
+            if len(calls) % 3 == 0:
+                raise KeyboardInterrupt
+            return counted(*args, **kwargs)
+
+        def code_of(call, *args):
+            # an escaping KeyboardInterrupt would end the whole test session
+            try:
+                return call(*args)
+            except KeyboardInterrupt:
+                pytest.fail("KeyboardInterrupt escaped the CLI")
+
+        monkeypatch.setattr(cli.oracle, counter, interrupted_at_the_third)
+        assert code_of(cli.main, argv) == 130
+        captured = capsys.readouterr()
+        assert (captured.out.splitlines(), captured.err) == (made, "error: interrupted\n")
+        code, out = code_of(run_cli, capsys, *argv, "--json")
+        report = json.loads(out)
+        assert (code, report["status"], report["message"]) == (130, "error", "interrupted")
+        assert list(report["results"]) == [rows] and len(report["results"][rows]) == 2
+        monkeypatch.setattr("sys.argv", ["signedflow", *argv])
+        try:
+            with pytest.raises(SystemExit) as exc:
+                code_of(cli.run)
+        finally:
+            gc.unfreeze()  # run() froze every object alive; the session goes on collecting
+        assert exc.value.code == 130
+        captured = capsys.readouterr()
+        assert (captured.out.splitlines(), captured.err) == (made, "error: interrupted\n")
 
 
 # What a report may hold: dicts with text keys, lists, tuples, ints (also

@@ -633,6 +633,22 @@ class TestTextFormat:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_graph_text(text)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_lines_end_at_lf_crlf_or_cr(self, newline):
+        lines = ["# a loop", "vertices 1", "edge 0 0 -", "edge 0 0 *", ""]
+        assert parse_graph_text(newline.join(lines[:3] + [""])) == NEG_LOOP
+        with pytest.raises(ValueError, match=r"^line 4: sign must be '\+' or '-', got '\*'$"):
+            parse_graph_text(newline.join(lines))
+
+    # each of these ends a line for str.splitlines, and none does in a file
+    @pytest.mark.parametrize("filler", ["\f", "\v", "\x1c\x1d\x1e", "# caf\x85 note",
+                                        "# caf\u2028 note\u2029"],
+                             ids=["form-feed", "vertical-tab", "separators", "NEL", "LS-PS"])
+    def test_no_other_character_ends_a_line(self, filler):
+        assert parse_graph_text(f"{filler}\nvertices 1\nedge 0 0 -\n") == NEG_LOOP
+        with pytest.raises(ValueError, match=r"^line 3: sign must be '\+' or '-', got 'x'$"):
+            parse_graph_text(f"vertices 2\n{filler}\nedge 0 1 x\n")
+
     def test_a_sign_before_the_digits_is_read(self):
         assert parse_graph_text("vertices +2\nedge -0 +1 +\n") == g(2, (0, 1, 1))
 
