@@ -13,13 +13,14 @@ and the polynomial module with it, is imported only by poly, verify and
 intflow --fit.
 
 Exit codes: 0 success / all-pass, 1 verification mismatch, 2 input error,
-3 search budget exceeded, 4 internal error or a report that cannot be written,
-130 interrupted (Ctrl-C); the report keeps what was counted before it.
+3 search budget exceeded (or a graph too wide for the engine), 4 internal
+error or a report that cannot be written, 130 interrupted (Ctrl-C); the
+report keeps what was counted before it.
 """
 
 from __future__ import annotations
 
-import gc
+import os
 import sys
 
 from . import oracle
@@ -332,17 +333,33 @@ def main(argv: list[str] | None = None) -> int:
         out, err, code = "", f"error: {_internal_error(exc)}\n", EXIT_INTERNAL
     try:
         if out:
-            sys.stdout.write(out)
+            _stream("stdout").write(out)
         if err:
-            sys.stderr.write(err)
-        sys.stdout.flush()
-    except OSError as exc:  # a closed pipe or a full disk
-        try:
-            print(f"error: cannot write the report: {exc}", file=sys.stderr)
-        except OSError:
-            pass
+            _stream("stderr").write(err)
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except (OSError, ValueError) as exc:  # a closed pipe, a full disk or a closed file
+        _say(f"error: cannot write the report: {exc}\n")
         return EXIT_INTERNAL
     return code
+
+
+def _stream(name: str):
+    """``sys.stdout`` or ``sys.stderr``.  Python sets it to None when the
+    process starts with that file descriptor closed, and such a stream
+    cannot be written."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(f"{name} is closed")
+    return stream
+
+
+def _say(line: str) -> None:
+    """Write ``line`` to stderr if it can be written at all."""
+    try:
+        _stream("stderr").write(line)
+    except (OSError, ValueError):
+        pass
 
 
 def run() -> None:
@@ -355,17 +372,20 @@ def run() -> None:
         # freed when this block ends, before anything is written
         failed, code = type(exc).__name__, EXIT_INTERNAL
     if failed is not None:
-        try:
-            sys.stderr.write(f"error: internal error: {failed}\n")
-        except OSError:
-            pass
-    # Every object alive now lives until the process ends, so the collection
-    # that the interpreter runs at exit need not scan them: freezing them
-    # saved 4-8 ms of every command, most of it on objects that site's
-    # imports made.  os._exit would save as much but skips atexit and the
-    # final flush of the streams.
-    gc.freeze()
-    raise SystemExit(code)
+        _say(f"error: internal error: {failed}\n")
+    # The process ends here, without the interpreter's shutdown: its
+    # collection over every object still alive (most of them made by site's
+    # imports) and its teardown of the modules took about 9 ms of every
+    # command.  Of what the shutdown does, the program needs only the flush
+    # of the streams, done here; it registers no atexit handler.  A stream
+    # that cannot be flushed lost part of the report.
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except (OSError, ValueError):
+                code = EXIT_INTERNAL
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from .graph import SignedGraph, frontier_walk
 # unused here; perfbench/tracing.py wraps these names on this module, and
 # each name it wraps must resolve
 from .graph import connected_components, contract_edge, delete_edge, graph_fingerprint, make_edge_positive  # noqa: F401
+from .oracle import BudgetExceededError
 from .polynomial import Poly, _as_exact, interpolate
 from .values import Record, _as_int
 
@@ -115,16 +116,24 @@ def _frontier_sum(g: SignedGraph) -> _Bivariate:
     the walk opens, and an empty walk sums to 1.  Each connected
     component's edges are contiguous there and no vertex is open between
     two components, so a disconnected graph is summed as it is: F is
-    multiplicative over components.  A state is a tuple
-    with one label per slot: its block number times 4, plus 2 if the block
-    is unbalanced, plus its parity.  Switching at the vertices of parity 1
-    makes every contracted edge of a block positive.  A block is named
-    after the slot of its member that leaves last (ties go to the lower
-    slot), and that member has parity 0, so equal states meet in one entry
-    and a block's name is freed only when the block closes.  No later edge
-    can make an unbalanced block balanced, so its parities are all 0.  A
-    free slot p holds ``p << 2``, a balanced block of its own, which is
-    what a vertex is when it opens.
+    multiplicative over components.  A state is a ``bytes`` with one label
+    per slot: its block number times 4, plus 2 if the block is unbalanced,
+    plus its parity.  Switching at the vertices of parity 1 makes every
+    contracted edge of a block positive.  A block is named after the slot
+    of its member that leaves last (ties go to the lower slot), and that
+    member has parity 0, so equal states meet in one entry and a block's
+    name is freed only when the block closes.  No later edge can make an
+    unbalanced block balanced, so its parities are all 0.  A free slot p
+    holds ``p << 2``, a balanced block of its own, which is what a vertex
+    is when it opens.
+
+    A state is relabelled by ``bytes.translate``, so a label must fit in a
+    byte: there are at most 64 slots.  Only a close can cancel every sum,
+    and once no state is left F is 0 and the walk stops.  A walk that needs
+    more slots is refused with ``BudgetExceededError``, naming the edge
+    that opens its 65th slot, at its first step that leaves a state: such a
+    walk only answers F = 0 when its first edge already leaves none, as a
+    pendant edge does.
 
     The sign (-1)^|E - A| of the subset expansion is split as
     (-1)^|E| (-1)^|A|: deleting an edge keeps a term as it is, contracting
@@ -156,81 +165,113 @@ def _frontier_sum(g: SignedGraph) -> _Bivariate:
 
     # every slot is free at the start, and again after the last edge
     slots = 1 + max(max(step[1:3]) for step in walk)
-    start = tuple(p << 2 for p in range(slots))
+    # the first step opens at most slots 0 and 1, so a walk with too many
+    # slots can take that step
+    start = bytes(range(0, 4 * min(slots, _SLOTS), 4))
     # ranks the vertices in the slots by when they leave, ties to the lower slot
     leave = [0] * slots
     states = {start: 1}
     positive = 0
     for i, su, sv, opened, freed, _ in walk:
+        if opened:
+            # which of two blocks keeps its name may change, so each move
+            # is made again; parallel edges between opens share them
+            moves: tuple[dict, dict] = ({}, {})  # by sign
         for p, last in opened:
             leave[p] = last * slots - p
         negative = g.edges[i].sign < 0
         if su == sv and not negative:
             positive += 1
         else:
-            states = _contract(states, su, sv, negative, width, leave)
+            states = _contract(states, su, sv, negative, width, leave, moves[negative])
         if freed:
             states = _close(states, freed, level)
-    total = states.get(start, 0) * (1 - x) ** positive
+            if not any(states.values()):
+                return {}
+        if slots > _SLOTS:
+            pos = next(pos for pos, step in enumerate(walk) if any(p == _SLOTS for p, _ in step[3]))
+            raise BudgetExceededError(
+                f"edge {pos + 1} of {len(walk)} opens slot {_SLOTS + 1} of {slots}, and the "
+                f"engine's states hold at most {_SLOTS} open vertices")
+    total = states.get(start, 0) * (1 - x) ** positive * (-1) ** m
 
     # read the signed digits back: bias each by half a digit so none borrows
     size = total.bit_length() // width + 2
     half = 1 << width - 1
     raw = (total + half * ((1 << width * size) - 1) // (x - 1)).to_bytes(width * size // 8, "little")
     step = width // 8
-    sign = (-1) ** m
-    out: _Bivariate = {}
-    for p in range(size):
-        c = int.from_bytes(raw[p * step:(p + 1) * step], "little") - half
-        if c:
-            u, k = divmod(p, room)
-            out[k - u, k] = sign * c
-    return out
+    digits = [int.from_bytes(raw[p:p + step], "little") - half for p in range(0, len(raw), step)]
+    return {(k - u, k): c for u in range(size // room + 1)
+            for k, c in enumerate(digits[u * room:(u + 1) * room]) if c}
 
 
-def _contract(states: dict[tuple[int, ...], int], sa: int, sb: int, negative: bool,
-              width: int, leave: list[int]) -> dict[tuple[int, ...], int]:
+# a label, block * 4 + flags, is one byte, so a state holds at most 64 slots
+_SLOTS = 64
+_IDENTITY = bytes(range(256))
+
+
+def _move(la: int, lb: int, negative: bool, leave: list[int]) -> tuple[bool, bytes | None]:
+    """What contracting an edge does to a state whose ends hold labels
+    ``la`` and ``lb``: whether it adds a cycle, and the table that
+    relabels the state (None if no label changes)."""
+    ba, bb = la >> 2, lb >> 2
+    odd = (la ^ lb ^ negative) & 1
+    if ba == bb:
+        # a cycle in one block; a negative one unbalances the block
+        if not odd or la & 2:
+            return True, None
+        return True, _relabel(_IDENTITY, ba, bytes([ba << 2 | 2]) * 4)
+    # the block whose name leaves later keeps it, and the other joins
+    keep, join = (ba, bb) if leave[ba] > leave[bb] else (bb, ba)
+    if (la | lb) & 2:
+        unbalanced = bytes([keep << 2 | 2]) * 4
+        return False, _relabel(_relabel(_IDENTITY, join, unbalanced), keep, unbalanced)
+    # its parities flipped if the edge is negative after switching
+    return False, _relabel(_IDENTITY, join, bytes([keep << 2 | odd, keep << 2 | 1 - odd]) * 2)
+
+
+def _relabel(table: bytes, block: int, labels: bytes) -> bytes:
+    """``table`` with the 4 labels of ``block`` translated to ``labels``."""
+    return table[:block << 2] + labels + table[block + 1 << 2:]
+
+
+def _contract(states: dict[bytes, int], sa: int, sb: int, negative: bool,
+              width: int, leave: list[int], moves: dict) -> dict[bytes, int]:
     """Each state with the edge between slots ``sa`` and ``sb`` deleted (as
     it is) and contracted (negated); ``leave`` ranks the slots' vertices by
-    when they leave.  See :func:`_frontier_sum`."""
-    out: dict[tuple[int, ...], int] = {}
+    when they leave.  A contraction is a translation table, made once per
+    pair of labels at the edge's ends and kept in ``moves``.  See
+    :func:`_frontier_sum`."""
+    out: dict[bytes, int] = {}
     for s, c in states.items():
         out[s] = out.get(s, 0) + c
-        la, lb = s[sa], s[sb]
-        ba, bb = la >> 2, lb >> 2
-        if ba == bb:
-            # a cycle in one block; a negative one unbalances the block
+        key = s[sa] << 8 | s[sb]
+        move = moves.get(key)
+        if move is None:
+            move = moves[key] = _move(key >> 8, key & 255, negative, leave)
+        cycle, table = move
+        if cycle:
             c <<= width
-            if (la ^ lb ^ negative) & 1 and not la & 2:
-                s = tuple(ba << 2 | 2 if l >> 2 == ba else l for l in s)
-        else:
-            # the block whose name leaves later keeps it, and the other joins
-            keep, join = (ba, bb) if leave[ba] > leave[bb] else (bb, ba)
-            if (la | lb) & 2:
-                s = tuple(keep << 2 | 2 if l >> 2 == ba or l >> 2 == bb else l for l in s)
-            else:
-                # its parities flipped if the edge is negative after switching
-                odd = (la ^ lb ^ negative) & 1
-                s = tuple(keep << 2 | (l ^ odd) & 1 if l >> 2 == join else l for l in s)
+        if table is not None:
+            s = s.translate(table)
         out[s] = out.get(s, 0) - c
     return out
 
 
-def _close(states: dict[tuple[int, ...], int], freed: tuple[int, ...],
-           level: int) -> dict[tuple[int, ...], int]:
+def _close(states: dict[bytes, int], freed: tuple[int, ...], level: int) -> dict[bytes, int]:
     """Each state with the slots ``freed`` free again.  A block's name
     leaves last, so freeing it closes the block, and u grows by 1 if the
     block is unbalanced."""
-    out: dict[tuple[int, ...], int] = {}
+    out: dict[bytes, int] = {}
     for s, c in states.items():
         if not c:
             continue
-        s = list(s)
+        s = bytearray(s)
         for p in freed:
             if s[p] == p << 2 | 2:
                 c <<= level
             s[p] = p << 2
-        key = tuple(s)
+        key = bytes(s)
         out[key] = out.get(key, 0) + c
     return out
 

@@ -1,9 +1,9 @@
 import errno
-import gc
 import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -44,6 +44,16 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+@pytest.fixture
+def exit_raises(monkeypatch):
+    """run() ends the process with os._exit; in the test session that
+    becomes a SystemExit with the same code."""
+    def _exit(code):
+        raise SystemExit(code)
+
+    monkeypatch.setattr(os, "_exit", _exit)
 
 
 class TestCount:
@@ -231,38 +241,42 @@ class TestOptions:
         assert out.startswith("usage: signedflow COMMAND")
         assert "  count    --graph GRAPH [--json] [--budget 100000000] --group GROUP\n" in out
 
-    def test_run_reads_sys_argv(self, capsys, write_graph, monkeypatch):
+    def test_run_reads_sys_argv(self, capsys, write_graph, monkeypatch, exit_raises):
         argv = ["signedflow", "count", "--graph", write_graph(NEG_LOOP), "--group", "2,2"]
         monkeypatch.setattr("sys.argv", argv)
-        try:
-            with pytest.raises(SystemExit) as exc:
-                cli.run()
-        finally:
-            gc.unfreeze()  # run() froze every object alive; the session goes on collecting
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
         assert exc.value.code == 0
         assert "nowhere-zero flows: 3" in capsys.readouterr().out
 
-    def test_run_in_a_child_process(self, tmp_path, write_graph):
-        # run() ends by freezing every object and raising SystemExit: the
-        # report, larger than a pipe buffer, still arrives whole, and every
-        # exit code still reaches the parent
+    def test_run_in_a_child_process(self, capsys, tmp_path, write_graph):
+        # run() flushes the streams itself and ends with os._exit: the
+        # report, larger than a pipe buffer, still arrives whole, and so do
+        # every exit code and a refusal's error line
         def child(*argv):
             src = Path(cli.__file__).resolve().parent.parent
-            return subprocess.run([sys.executable, "-m", "signedflow.cli", *argv, "--json"],
+            return subprocess.run([sys.executable, "-m", "signedflow.cli", *argv],
                                   capture_output=True, text=True, timeout=60,
                                   env=dict(os.environ, PYTHONPATH=str(src)))
 
         loops = write_graph(g(1, *[(0, 0, 1)] * 2000))
-        proc = child("poly", "--graph", loops)
+        proc = child("poly", "--graph", loops, "--json")
         assert (proc.returncode, proc.stderr) == (0, "")
         assert len(proc.stdout) > 2**16
         assert json.loads(proc.stdout)["results"]["polynomials"][0]["coeffs"][-1] == 1
         bad = tmp_path / "bad.txt"
         bad.write_text("vertices 1\nedge 0 0 *\n")
-        assert child("poly", "--graph", str(bad)).returncode == 2
-        proc = child("count", "--graph", write_graph(TRIANGLE), "--group", "9", "--budget", "5")
+        assert child("poly", "--graph", str(bad), "--json").returncode == 2
+        refused = ["count", "--graph", write_graph(TRIANGLE), "--group", "9", "--budget", "5"]
+        proc = child(*refused, "--json")
         assert proc.returncode == 3
         assert json.loads(proc.stdout)["status"] == "error"
+        # without --json the refusal is one line on stderr, as main writes it in process
+        assert cli.main(refused) == 3
+        expected = capsys.readouterr()
+        assert expected.err.startswith("error: ") and expected.err.count("\n") == 1
+        proc = child(*refused)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", expected.err)
 
 
 class TestPoly:
@@ -476,7 +490,8 @@ class TestInternalError:
         assert report["status"] == "error"
         assert report["message"].startswith("internal error: RecursionError")
 
-    def test_a_fault_while_reporting_a_fault_exits_four(self, capsys, write_graph, monkeypatch):
+    def test_a_fault_while_reporting_a_fault_exits_four(self, capsys, write_graph, monkeypatch,
+                                                        exit_raises):
         # main reports a fault by formatting it; if that fails too, run()
         # still exits 4 with one line, never a traceback and exit 1
         def out_of_memory(*args, **kwargs):
@@ -486,11 +501,8 @@ class TestInternalError:
         monkeypatch.setattr(cli, "_internal_error", out_of_memory)
         monkeypatch.setattr("sys.argv", ["signedflow", "count", "--graph", write_graph(NEG_LOOP),
                                          "--group", "2"])
-        try:
-            with pytest.raises(SystemExit) as exc:
-                cli.run()
-        finally:
-            gc.unfreeze()  # run() froze every object alive; the session goes on collecting
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
         assert exc.value.code == 4
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: internal error: MemoryError\n")
@@ -524,7 +536,7 @@ class TestInterrupt:
         (["intflow", "--n-max", "6"], "count_integer_nflows", "counts"),
     ], ids=["verify", "intflow"])
     def test_ctrl_c_keeps_the_counts_made_and_exits_130(self, capsys, write_graph, monkeypatch,
-                                                        argv, counter, rows):
+                                                        exit_raises, argv, counter, rows):
         argv = [*argv, "--graph", write_graph(NEG_LOOP)]
         assert cli.main(argv) == 0
         made = capsys.readouterr().out.splitlines()[:2]
@@ -553,11 +565,8 @@ class TestInterrupt:
         assert (code, report["status"], report["message"]) == (130, "error", "interrupted")
         assert list(report["results"]) == [rows] and len(report["results"][rows]) == 2
         monkeypatch.setattr("sys.argv", ["signedflow", *argv])
-        try:
-            with pytest.raises(SystemExit) as exc:
-                code_of(cli.run)
-        finally:
-            gc.unfreeze()  # run() froze every object alive; the session goes on collecting
+        with pytest.raises(SystemExit) as exc:
+            code_of(cli.run)
         assert exc.value.code == 130
         captured = capsys.readouterr()
         assert (captured.out.splitlines(), captured.err) == (made, "error: interrupted\n")
@@ -651,6 +660,90 @@ class TestUnwritableReport:
         monkeypatch.setattr("sys.stdout", _Unwritable(BrokenPipeError(errno.EPIPE, "Broken pipe")))
         monkeypatch.setattr("sys.stderr", _Unwritable(BrokenPipeError(errno.EPIPE, "Broken pipe")))
         assert cli.main(["poly", "--graph", path]) == 4
+
+
+class TestClosedStreams:
+    """Python sets sys.stdout or sys.stderr to None when the process starts
+    with that file descriptor closed (``>&-``, ``2>&-``).  A report that
+    needs a closed stream exits 4, never 1, and says so on stderr if
+    stderr is open."""
+
+    def run(self, monkeypatch, graph, *argv, stdout=True, stderr=True):
+        monkeypatch.setattr("sys.argv", ["signedflow", "count", "--graph", graph, *argv])
+        if not stdout:
+            monkeypatch.setattr("sys.stdout", None)
+        if not stderr:
+            monkeypatch.setattr("sys.stderr", None)
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        return exc.value.code
+
+    @pytest.mark.parametrize("argv", [["--group", "0"], ["--group", "3"], ["--group", "3", "--json"],
+                                      ["--group", "0", "--json"]])
+    def test_both_closed_exits_four(self, write_graph, monkeypatch, exit_raises, argv):
+        assert self.run(monkeypatch, write_graph(NEG_LOOP), *argv, stdout=False, stderr=False) == 4
+
+    @pytest.mark.parametrize("argv", [["--group", "3"], ["--group", "3", "--json"],
+                                      ["--group", "0", "--json"]])
+    def test_a_report_for_a_closed_stdout_is_refused_on_stderr(self, capsys, write_graph,
+                                                               monkeypatch, exit_raises, argv):
+        assert self.run(monkeypatch, write_graph(NEG_LOOP), *argv, stdout=False) == 4
+        assert capsys.readouterr().err == "error: cannot write the report: stdout is closed\n"
+
+    def test_an_error_line_needs_only_stderr(self, capsys, write_graph, monkeypatch, exit_raises):
+        assert self.run(monkeypatch, write_graph(NEG_LOOP), "--group", "0", stdout=False) == 2
+        assert capsys.readouterr().err == "error: modulus must be at least 1, got 0\n"
+
+    def test_a_report_needs_only_stdout(self, capsys, write_graph, monkeypatch, exit_raises):
+        assert self.run(monkeypatch, write_graph(NEG_LOOP), "--group", "2,2", stderr=False) == 0
+        assert "nowhere-zero flows: 3\n" in capsys.readouterr().out
+
+    def test_an_error_line_for_a_closed_stderr_exits_four(self, capsys, write_graph, monkeypatch,
+                                                          exit_raises):
+        assert self.run(monkeypatch, write_graph(NEG_LOOP), "--group", "0", stderr=False) == 4
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("closed, code, err", [
+        ((1, 2), 4, ""),
+        ((1,), 4, "error: cannot write the report: stdout is closed\n"),
+    ])
+    def test_in_a_child_started_with_closed_descriptors(self, write_graph, closed, code, err):
+        src = Path(cli.__file__).resolve().parent.parent
+        argv = [sys.executable, "-m", "signedflow.cli", "count", "--graph", write_graph(NEG_LOOP),
+                "--group", "3", "--json"]
+        # the child closes the descriptors and then becomes the command
+        start = f"import os, sys; [os.close(fd) for fd in {closed}]; os.execv(sys.executable, {argv})"
+        proc = subprocess.run([sys.executable, "-c", start], stderr=subprocess.PIPE, text=True,
+                              timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert (proc.returncode, proc.stderr) == (code, err)
+
+
+def spider(doubled: bool) -> SignedGraph:
+    """65 legs 0 - i - (65 + i) on 131 vertices, all positive edges, or with
+    each 0 - i a +/- pair and each i - (65 + i) a +/+ pair.  Its walk holds
+    65 vertices open at once."""
+    if not doubled:
+        return g(131, *[(0, i, 1) for i in range(1, 66)], *[(i, 65 + i, 1) for i in range(1, 66)])
+    return g(131, *[(0, i, s) for i in range(1, 66) for s in (1, -1)],
+             *[(i, 65 + i, 1) for i in range(1, 66) for _ in range(2)])
+
+
+class TestSlotLimit:
+    # the engine's states hold at most 64 open vertices
+    def test_a_spider_of_bridges_has_no_flow(self, capsys, write_graph):
+        code, out = run_cli(capsys, "poly", "--graph", write_graph(spider(False)), "--json")
+        assert code == 0
+        assert [p["coeffs"] for p in json.loads(out)["results"]["polynomials"]] == [[], [], []]
+
+    def test_a_spider_with_every_edge_doubled_is_refused_at_once(self, capsys, write_graph):
+        path = write_graph(spider(True))
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "poly", "--graph", path, "--json")
+        assert time.perf_counter() - start < 1
+        report = json.loads(out)
+        assert (code, report["status"], report["results"]) == (3, "error", {})
+        assert report["message"] == ("edge 131 of 260 opens slot 65 of 65, and the engine's "
+                                     "states hold at most 64 open vertices")
 
 
 class TestEquivAndSwitch:

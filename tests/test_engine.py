@@ -250,8 +250,8 @@ class TestFrontierStates:
     def test_blocks_are_named_after_the_member_that_leaves_last(self, monkeypatch):
         contract = engine._contract
 
-        def checked(states, sa, sb, negative, width, leave):
-            out = contract(states, sa, sb, negative, width, leave)
+        def checked(states, sa, sb, negative, width, leave, moves):
+            out = contract(states, sa, sb, negative, width, leave, moves)
             check_frontier_states(states, leave)
             check_frontier_states(out, leave)
             return out
