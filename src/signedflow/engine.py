@@ -16,10 +16,10 @@ graph along ``graph.frontier_walk``, keeping only what the remaining
 edges can still see: the open vertices, split into blocks by the
 contracted edges (the edges in A), each vertex with its sign parity
 relative to its block and each block with an unbalanced flag.  The sum is
-multiplicative over components, and the walk finishes one component
-before it starts the next, so a disconnected graph needs no split.  No
-minor is built, nothing recurses and nothing is memoised, so the cost
-follows the frontier width, not the edge order.
+multiplicative over components, and no edge joins the blocks of two
+components, so a disconnected graph needs no split.  No minor is built,
+nothing recurses and nothing is memoised, so the cost follows the
+frontier width, not the edge order.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from math import comb
 
-from .graph import SignedGraph, frontier_walk
+from .graph import SignedGraph, _edge_name, _search, drop_edgeless_vertices, frontier_walk
 # unused here; perfbench/tracing.py wraps these names on this module, and
 # each name it wraps must resolve
 from .graph import connected_components, contract_edge, delete_edge, graph_fingerprint, make_edge_positive  # noqa: F401
@@ -113,19 +113,18 @@ def _frontier_sum(g: SignedGraph) -> _Bivariate:
 
     The edges are taken along :func:`frontier_walk`, which leaves out the
     edgeless vertices: each is a factor 1, so the vertices counted are those
-    the walk opens, and an empty walk sums to 1.  Each connected
-    component's edges are contiguous there and no vertex is open between
-    two components, so a disconnected graph is summed as it is: F is
-    multiplicative over components.  A state is a ``bytes`` with one label
-    per slot: its block number times 4, plus 2 if the block is unbalanced,
-    plus its parity.  Switching at the vertices of parity 1 makes every
-    contracted edge of a block positive.  A block is named after the slot
-    of its member that leaves last (ties go to the lower slot), and that
-    member has parity 0, so equal states meet in one entry and a block's
-    name is freed only when the block closes.  No later edge can make an
-    unbalanced block balanced, so its parities are all 0.  A free slot p
-    holds ``p << 2``, a balanced block of its own, which is what a vertex
-    is when it opens.
+    the walk opens, and an empty walk sums to 1.  No edge joins the blocks
+    of two components, so a disconnected graph is summed as it is, in any
+    edge order: F is multiplicative over components.  A state is a
+    ``bytes`` with one label per slot: its block number times 4, plus 2 if
+    the block is unbalanced, plus its parity.  Switching at the vertices of
+    parity 1 makes every contracted edge of a block positive.  A block is
+    named after the slot of its member that leaves last (ties go to the
+    lower slot), and that member has parity 0, so equal states meet in one
+    entry and a block's name is freed only when the block closes.  No later
+    edge can make an unbalanced block balanced, so its parities are all 0.
+    A free slot p holds ``p << 2``, a balanced block of its own, which is
+    what a vertex is when it opens.
 
     A state is relabelled by ``bytes.translate``, so a label must fit in a
     byte: there are at most 64 slots.  Only a close can cancel every sum,
@@ -144,9 +143,9 @@ def _frontier_sum(g: SignedGraph) -> _Bivariate:
     k + ``room`` * u, so adding two sums is one int addition, k + 1 is a
     shift by ``width`` and u + 1 a shift by ``width * room``.  Every
     coefficient sums at most 2^|E| terms of +-1, so a digit never
-    overflows, and k <= |E| - |V| + c < ``room``, |V| counting the slots
-    the walk opens and c the components, the steps that leave no vertex
-    open.
+    overflows, and k <= |E| - |V| + c < ``room``, |V| counting the vertices
+    the walk opens and c their components, the start vertices of
+    ``graph._search`` on the walked graph.
 
     A loop is an edge with both ends at one slot: in A it adds a cycle, and
     a negative one unbalances its block.  A positive loop changes no state,
@@ -158,9 +157,9 @@ def _frontier_sum(g: SignedGraph) -> _Bivariate:
     m = g.num_edges
     width = (m + 9) // 8 * 8  # whole bytes, and |digit| <= 2^m < 2^(width - 1)
     x = 1 << width
-    # m - |V| + c + 1: each step opens its vertices, and ends a component
-    # when it leaves none open
-    room = m + 1 + sum((not num_open) - len(opened) for _, _, _, opened, _, num_open in walk)
+    # m - |V| + c + 1: a spanning forest has an edge at each vertex but its
+    # component's search start
+    room = m + 1 - sum(v != s for v, s in enumerate(_search(drop_edgeless_vertices(g))[1]))
     level = width * room
 
     # every slot is free at the start, and again after the last edge
@@ -189,9 +188,9 @@ def _frontier_sum(g: SignedGraph) -> _Bivariate:
             if not any(states.values()):
                 return {}
         if slots > _SLOTS:
-            pos = next(pos for pos, step in enumerate(walk) if any(p == _SLOTS for p, _ in step[3]))
+            edge = next(step[0] for step in walk if any(p == _SLOTS for p, _ in step[3]))
             raise BudgetExceededError(
-                f"edge {pos + 1} of {len(walk)} opens slot {_SLOTS + 1} of {slots}, and the "
+                f"{_edge_name(g, edge)} opens slot {_SLOTS + 1} of {slots}, and the "
                 f"engine's states hold at most {_SLOTS} open vertices")
     total = states.get(start, 0) * (1 - x) ** positive * (-1) ** m
 

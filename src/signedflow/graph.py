@@ -105,6 +105,13 @@ def _derived(num_vertices: int, edges: tuple[Edge, ...]) -> SignedGraph:
     return out
 
 
+def _edge_name(g: SignedGraph, edge_id: int) -> str:
+    """Edge ``edge_id`` of ``g`` as a refusal names it, by its id and its
+    line of the graph file: ``edge 128 (0 65 +)``."""
+    e = g.edges[edge_id]
+    return f"edge {edge_id} ({e.u} {e.v} {'+' if e.sign == 1 else '-'})"
+
+
 def _check_edge_id(g: SignedGraph, edge_id: int) -> int:
     return _as_int(edge_id, "edge id", below=g.num_edges)
 
@@ -211,8 +218,9 @@ def drop_edgeless_vertices(g: SignedGraph) -> SignedGraph:
     order and the edge order kept; ``g`` itself when every vertex has an edge.
 
     No flow count depends on an edgeless vertex, so :func:`frontier_walk`,
-    which the engine and the oracle follow, and :func:`is_edge_cut` call
-    this first and then never allocate per declared vertex.
+    which the engine and the oracle follow, the engine's component count
+    and :func:`is_edge_cut` call this first and then never allocate per
+    declared vertex.
     """
     used = sorted({w for e in g.edges for w in (e.u, e.v)})
     if len(used) == g.num_vertices:
@@ -286,8 +294,7 @@ def frontier_walk(
     ends hold while open: ``(edge id, slot of u, slot of v, slots opened at
     this edge, slots freed after it, vertices open after it)``.  Each
     opened slot comes as ``(slot, position)``, the position in the walk of
-    its vertex's last edge.  No vertex is open after an edge exactly when
-    that edge ends a connected component.
+    its vertex's last edge.
 
     A vertex takes a slot at its first edge and frees it after its last; a
     new vertex takes the slot freed most recently, else a new one, so there

@@ -4,15 +4,16 @@ One enumerator counts assignments edge by edge with a frontier transfer
 matrix: partial assignments that leave the same sums at the vertices still
 open are counted together, and the last edge at a vertex takes only the
 values that make its sum zero.  Only an edge with tau0 = tau1 changes the
-total of the vertex sums, by 2 * tau0 * x, so after a component's last such
-edge that total must be 0.  The count first switches, which negates some
-vertices' sums and keeps every count, so that this edge comes as early as
-any switching can put it, and there admits only the values that bring the
-total to 0.  The 2-torsion of the group, the paper's epsilon_2, shows here:
-2x = -T has 0 or 2^d solutions in a group of 2-rank d, so over Z_2^d
-nothing is dropped.  Exactness over speed, with a budget on the
-transfer-matrix steps, bounded before the count starts, instead of silent
-long runs.  Counts are plain Python ints, so they never overflow.
+total of the vertex sums, by 2 * tau0 * x, so after the last such edge
+before the walk next leaves no vertex open, the total of the open sums
+must be 0.  The count first switches, which negates some vertices' sums
+and keeps every count, so that this edge comes as early as any switching
+can put it, and there admits only the values that bring the total to 0.
+The 2-torsion of the group, the paper's epsilon_2, shows here: 2x = -T
+has 0 or 2^d solutions in a group of 2-rank d, so over Z_2^d nothing is
+dropped.  Exactness over speed, with a budget on the transfer-matrix
+steps, bounded before the count starts, instead of silent long runs.
+Counts are plain Python ints, so they never overflow.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from math import prod
 from .graph import (
     Orientation,
     SignedGraph,
+    _edge_name,
     default_orientation,
     frontier_walk,
 )
@@ -87,20 +89,28 @@ def _plan(g: SignedGraph, tau: Orientation) -> tuple[list, list, set[int]]:
     ahead, forced)`` for g under tau.
 
     One pass over :func:`frontier_walk`, with each edge's tau from
-    :func:`_forest_switched`, gives each edge its record ``(slot of u, slot
-    of v, k_u, k_v, ends it closes, vertices it leaves open, vertices open
-    after it)``, a closing end first: the edge adds k_u * x at u and k_v * x
-    at v.  The open count after it is the walk's own, and a component ends
-    at the edge that leaves none open.  A loop's second end is the phantom
-    slot, one place past the walk's last slot, whose sum is always 0: the
-    loop adds 0 * x there and (tau0 + tau1) * x at its vertex, and the
-    phantom end closes when the vertex does.  ``ahead`` holds, per edge and end, the factor the end's
+    :func:`_forest_switched`, gives each edge its record ``(edge id, slot
+    of u, slot of v, k_u, k_v, ends it closes, vertices it leaves open,
+    vertices open after it)``, a closing end first: the edge adds k_u * x
+    at u and k_v * x at v.  The open count after it is the walk's own.  A
+    loop's second end is the phantom slot, one place past the walk's last
+    slot, whose sum is always 0: the loop adds 0 * x there and
+    (tau0 + tau1) * x at its vertex, and the phantom end closes when the
+    vertex does.  ``ahead`` holds, per edge and end, the factor the end's
     last edge adds x with there if this is its next-to-last edge, else
-    None; ``forced`` holds the position of each component's last edge with
-    tau0 = tau1 where that is not the component's last edge.  Only the last
-    plan is kept, keyed by the value of ``(g, tau)``, so the counts of one
-    graph over many groups or many n plan it once.  The plan is read, never
-    changed.
+    None.
+
+    The edges that leave no vertex open cut the walk into stretches.  A
+    vertex opened in a stretch closes in it, with sum 0 in a flow, so the
+    sums at a stretch's vertices total 0 at its end, whatever the edge
+    order.  Only an edge with tau0 = tau1 changes that total, so after a
+    stretch's last such edge the open sums must already total 0.
+    ``forced`` holds that edge's position in each stretch where it is not
+    the stretch's last edge.
+
+    Only the last plan is kept, keyed by the value of ``(g, tau)``, so the
+    counts of one graph over many groups or many n plan it once.  The plan
+    is read, never changed.
     """
     global _last_plan
     key, plan = _last_plan
@@ -108,20 +118,20 @@ def _plan(g: SignedGraph, tau: Orientation) -> tuple[list, list, set[int]]:
         return plan
     walk = frontier_walk(g)
     phantom = 1 + max((max(step[1:3]) for step in walk), default=0)
-    edges: list[tuple[int, int, int, int, int, int, int]] = []
+    edges: list[tuple[int, int, int, int, int, int, int, int]] = []
     ahead: list[list[int | None]] = []
     # per open slot that has had an edge: (position, end) of its latest edge
     latest: dict[int, tuple[int, int]] = {}
-    # positions of each component's last edge with tau0 = tau1 where that is
-    # not the component's last edge; charged is the latest in this component
+    # positions of each stretch's last edge with tau0 = tau1 where that is
+    # not the stretch's last edge; charged is the latest in this stretch
     forced: set[int] = set()
     charged = -1
     switched = _forest_switched(g, walk, tau)
-    for pos, ((_, su, sv, _, freed, num_open), (t0, t1)) in enumerate(zip(walk, switched)):
+    for pos, ((i, su, sv, _, freed, num_open), (t0, t1)) in enumerate(zip(walk, switched)):
         if t0 + t1:
             charged = pos
         closes, opens = len(freed), len({su, sv}) - len(freed)
-        if not num_open:  # the component ends here
+        if not num_open:  # the stretch ends here
             if 0 <= charged < pos:
                 forced.add(charged)
             charged = -1
@@ -136,7 +146,7 @@ def _plan(g: SignedGraph, tau: Orientation) -> tuple[list, list, set[int]]:
                 latest[w] = pos, end
         if su == sv:  # a loop: its second end is the phantom, closing with its vertex
             sv, t0, t1, closes = phantom, t0 + t1, 0, 2 * closes
-        edges.append((su, sv, t0, t1, closes, opens, num_open))
+        edges.append((i, su, sv, t0, t1, closes, opens, num_open))
         ahead.append([None, None])
     plan = edges, ahead, forced
     _last_plan = (g, tau), plan
@@ -169,13 +179,13 @@ def _count_flows(
     there that its last edge can negate, since the last edge would drop
     every other state anyway.
 
-    Each edge's tau comes from :func:`_forest_switched`, so a component's
-    last edge with tau0 = tau1 is as early as any switching can put it.
-    There, unless it is the component's last edge, the total T of a state's
-    open sums (the charge, summed from its digits one residue at a time)
-    must become 0: an edge that closes no end takes only the values with
-    (k_u + k_v) * x = -T, and one that closes an end keeps a new state only
-    if its charge is 0.
+    Each edge's tau comes from :func:`_forest_switched`, so a stretch's
+    last edge with tau0 = tau1 (see :func:`_plan`) is as early as any
+    switching can put it.  There, unless it is the stretch's last edge,
+    the total T of a state's open sums (the charge, summed from its digits
+    one residue at a time) must become 0: an edge that closes no end takes
+    only the values with (k_u + k_v) * x = -T, and one that closes an end
+    keeps a new state only if its charge is 0.
 
     The walk leaves out edgeless vertices, so an edgeless graph gives an
     empty walk, which counts 1.  Otherwise the count reads the records of
@@ -195,13 +205,13 @@ def _count_flows(
     # a range's length is stop - start: len() fails past sys.maxsize
     r, num_values = gamma.order, sum(p.stop - p.start for p in values)
     num_open, steps, bound = 0, 4 * r + num_values, 1
-    for pos, (*_, closes, opens, after) in enumerate(edges):
+    for i, *_, closes, opens, after in edges:
         fanout = 1 if closes else num_values
         steps += bound * fanout + 2 * (r + num_values) + min(bound * opens, r) * r
         if steps > budget:
             raise BudgetExceededError(
-                f"up to {steps} transfer-matrix steps by edge {pos + 1} of {len(edges)} "
-                f"with {num_open} vertices open exceed budget {budget}"
+                f"up to {steps} transfer-matrix steps by {_edge_name(g, i)} with {num_open} "
+                f"{'vertex' if num_open == 1 else 'vertices'} open exceed budget {budget}"
             )
         bound, num_open = min(bound * fanout, r**after), after
 
@@ -260,7 +270,7 @@ def _count_flows(
         return total
 
     states = {0: 1}
-    for pos, ((slot_u, slot_v, k_u, k_v, closes, _, _), (cu, cv)) in enumerate(zip(edges, ahead)):
+    for pos, ((_, slot_u, slot_v, k_u, k_v, closes, *_), (cu, cv)) in enumerate(zip(edges, ahead)):
         pu, pv, force = r**slot_u, r**slot_v, pos in forced
         new: dict[int, int] = {}
         get = new.get

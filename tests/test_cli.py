@@ -742,7 +742,7 @@ class TestSlotLimit:
         assert time.perf_counter() - start < 1
         report = json.loads(out)
         assert (code, report["status"], report["results"]) == (3, "error", {})
-        assert report["message"] == ("edge 131 of 260 opens slot 65 of 65, and the engine's "
+        assert report["message"] == ("edge 128 (0 65 +) opens slot 65 of 65, and the engine's "
                                      "states hold at most 64 open vertices")
 
 
@@ -919,7 +919,7 @@ class TestIntflow:
 
     def test_budget_refusal_names_its_n(self, capsys, write_graph):
         # n = 30 fits the budget; the oracle's own message stays as it is after the prefix
-        message = ("n = 31: up to 1030 transfer-matrix steps by edge 2 of 2 "
+        message = ("n = 31: up to 1030 transfer-matrix steps by edge 1 (0 1 -) "
                    "with 2 vertices open exceed budget 1000")
         argv = ["intflow", "--graph", write_graph(DIGON_PM), "--n-max", "100000", "--budget", "1000"]
         assert cli.main(argv) == 3

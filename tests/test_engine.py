@@ -4,7 +4,7 @@ import tracemalloc
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from signedflow import (
@@ -24,6 +24,7 @@ from signedflow import (
 )
 import signedflow.engine as engine
 from signedflow.engine import _frontier_sum
+from signedflow.graph import frontier_walk
 
 from corpusgen import (
     BARBELL,
@@ -291,6 +292,41 @@ class TestSubsetExpansion:
     @settings(max_examples=60, deadline=None)
     def test_matches_on_random_graphs(self, graph):
         assert _frontier_sum(graph) == subset_expansion(graph)
+
+
+@st.composite
+def graphs_in_any_edge_order(draw):
+    """A graph of one to three parts side by side, and an order of its edge
+    ids in which the parts' edges may interleave."""
+    parts = draw(st.lists(signed_graphs(max_vertices=3, max_edges=4), min_size=1, max_size=3))
+    graph = disjoint_union(parts)
+    return graph, draw(st.permutations(range(graph.num_edges)))
+
+
+class TestAnyEdgeOrder:
+    """Both counters give the same answer whatever order the walk takes the
+    edges in.  ``frontier_walk`` looks ``frontier_order`` up by name, so a
+    patch of it reorders the walk."""
+
+    # a positive loop at 0 and two parallel edges 1 - 2, walked as 1 - 2,
+    # loop, 1 - 2: no vertex is open after the loop, yet the graph has two
+    # components, not three
+    @example((g(3, (1, 2, 1), (0, 0, 1), (1, 2, 1)), [0, 1, 2]))
+    @given(graphs_in_any_edge_order())
+    @settings(max_examples=60, deadline=None)
+    def test_counts_do_not_depend_on_the_edge_order(self, graph_and_order):
+        graph, order = graph_and_order
+        groups = [FiniteAbelianGroup(moduli) for moduli in ((3,), (4,), (2, 2), (5,))]
+        counts = ([count_group_flows(graph, gamma) for gamma in groups],
+                  [count_integer_nflows(graph, n) for n in range(1, 5)])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("signedflow.graph.frontier_order", lambda _: order)
+            # the oracle keeps the plan of its last graph, made in the default order
+            patch.setattr("signedflow.oracle._last_plan", ((None, None), None))
+            assert [step[0] for step in frontier_walk(graph)] == order
+            assert _frontier_sum(graph) == subset_expansion(graph)
+            assert ([count_group_flows(graph, gamma) for gamma in groups],
+                    [count_integer_nflows(graph, n) for n in range(1, 5)]) == counts
 
 
 class TestFlowPolynomial:

@@ -506,11 +506,15 @@ class TestFrontierOrder:
 
 
 class TestFrontierWalk:
-    @given(signed_graphs(max_vertices=7, max_edges=10))
+    @given(signed_graphs(max_vertices=7, max_edges=10), st.none() | st.randoms())
     @settings(max_examples=100, deadline=None)
-    def test_each_vertex_holds_its_own_slot_from_its_first_edge_to_its_last(self, graph):
+    def test_each_vertex_holds_its_own_slot_from_its_first_edge_to_its_last(self, graph, rng):
         order = frontier_order(graph)
-        walk = frontier_walk(graph)
+        with pytest.MonkeyPatch.context() as patch:
+            if rng is not None:  # the walk takes the edges in a shuffled order instead
+                rng.shuffle(order)
+                patch.setattr("signedflow.graph.frontier_order", lambda _: order)
+            walk = frontier_walk(graph)
         assert [step[0] for step in walk] == order
         first: dict[int, int] = {}
         last: dict[int, int] = {}
@@ -553,10 +557,11 @@ class TestFrontierWalk:
     @given(st.lists(signed_graphs(max_vertices=4, max_edges=5), min_size=1, max_size=4), st.randoms())
     @settings(max_examples=100, deadline=None)
     def test_the_open_count_drops_to_zero_once_per_component(self, parts, rng):
-        # The engine counts components as the times no vertex is open after
-        # an edge.  Vertices seen before such a time have no later edge, so
-        # the stretches between them are vertex-disjoint, and there are as
-        # many as components exactly when each stretch is one component.
+        # The frontier order finishes one component before it starts the
+        # next (another order need not).  Vertices seen before a time no
+        # vertex is open have no later edge, so the stretches between such
+        # times are vertex-disjoint, and there are as many as components
+        # exactly when each stretch is one component.
         graph = disjoint_union(parts, rng)  # the components' edges interleave
         walk = frontier_walk(graph)
         closed_at = [pos for pos, step in enumerate(walk) if not step[5]]

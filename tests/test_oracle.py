@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -649,7 +650,8 @@ class TestBudget:
     def test_group_budget_guard(self):
         # 4*11 + 10 table entries up front; the first edge adds 10 steps, 2*(11 + 10)
         # value-table entries and two addition-table rows of 11
-        with pytest.raises(BudgetExceededError, match="up to 128 transfer-matrix steps by edge 1 of 3"):
+        message = "up to 128 transfer-matrix steps by edge 0 (0 1 +)"
+        with pytest.raises(BudgetExceededError, match=re.escape(message)):
             count_group_flows(TRIANGLE, FiniteAbelianGroup((11,)), budget=10)
 
     def test_integer_budget_guard(self):
@@ -670,20 +672,20 @@ class TestBudget:
         assert count_group_flows(K8, Z5) == flow_polynomial(K8, 0)(5)
 
     def test_refusal_names_the_edge_and_the_open_vertices(self):
-        with pytest.raises(BudgetExceededError, match="by edge 12 of 28 with 6 vertices open"):
+        with pytest.raises(BudgetExceededError, match=re.escape("by edge 10 (1 5 +) with 6 vertices open")):
             count_group_flows(K8, FiniteAbelianGroup((16,)))
 
     def test_table_entries_count_against_the_budget(self):
         # both edges are forced, but the tables hold an entry per group element
         path = g(3, (0, 1, 1), (1, 2, 1))
-        with pytest.raises(BudgetExceededError, match="by edge 2 of 2 with 1 vertices open"):
+        with pytest.raises(BudgetExceededError, match=re.escape("by edge 1 (1 2 +) with 1 vertex open")):
             count_group_flows(path, FiniteAbelianGroup((10**7,)))
 
     def test_addition_rows_count_against_the_budget(self):
         # the second edge closes vertex 0 and may build a row of 1000 entries for
         # each of up to 999 sums at vertex 1
         digon_and_loop = g(2, (0, 1, 1), (0, 1, 1), (1, 1, -1))
-        with pytest.raises(BudgetExceededError, match="by edge 2 of 3 with 2 vertices open"):
+        with pytest.raises(BudgetExceededError, match=re.escape("by edge 1 (0 1 +) with 2 vertices open")):
             count_group_flows(digon_and_loop, FiniteAbelianGroup((1000,)), budget=10**5)
 
     @pytest.mark.parametrize("count", [
@@ -692,7 +694,8 @@ class TestBudget:
     ], ids=["group-of-order-2^63+1", "integer-2^64-flows"])
     def test_more_values_than_sys_maxsize_are_a_refusal(self, count):
         # len() of a range longer than sys.maxsize raises OverflowError
-        with pytest.raises(BudgetExceededError, match="by edge 1 of 1 with 0 vertices open exceed budget"):
+        message = "by edge 0 (0 1 +) with 0 vertices open exceed budget"
+        with pytest.raises(BudgetExceededError, match=re.escape(message)):
             count()
 
     @pytest.mark.parametrize("moduli", [(100,), (2, 50)])
@@ -745,37 +748,37 @@ class TestPinnedOutcomes:
             pytest.param(K4_TWO_NEG, 4, 1448, 0, id="integer-signed-k4-at-its-bound"),
             pytest.param(
                 TRIANGLE, (11,), 10,
-                "up to 128 transfer-matrix steps by edge 1 of 3 with 0 vertices open exceed budget 10",
+                "up to 128 transfer-matrix steps by edge 0 (0 1 +) with 0 vertices open exceed budget 10",
                 id="refused-at-the-first-edge",
             ),
             pytest.param(
                 TRIANGLE, (11,), 150,
-                "up to 290 transfer-matrix steps by edge 2 of 3 with 2 vertices open exceed budget 150",
+                "up to 290 transfer-matrix steps by edge 1 (0 2 +) with 2 vertices open exceed budget 150",
                 id="refused-at-a-middle-edge",
             ),
             pytest.param(
                 TRIANGLE, (11,), 341,
-                "up to 342 transfer-matrix steps by edge 3 of 3 with 2 vertices open exceed budget 341",
+                "up to 342 transfer-matrix steps by edge 2 (1 2 +) with 2 vertices open exceed budget 341",
                 id="refused-at-the-last-edge",
             ),
             pytest.param(
                 BARBELL, (4,), 60,
-                "up to 75 transfer-matrix steps by edge 2 of 3 with 1 vertices open exceed budget 60",
+                "up to 75 transfer-matrix steps by edge 1 (1 1 -) with 1 vertex open exceed budget 60",
                 id="refused-after-a-loop",
             ),
             pytest.param(
                 K4_TWO_NEG, 4, 1000,
-                "up to 1316 transfer-matrix steps by edge 5 of 6 with 3 vertices open exceed budget 1000",
+                "up to 1316 transfer-matrix steps by edge 4 (1 3 -) with 3 vertices open exceed budget 1000",
                 id="integer-refused-at-a-middle-edge",
             ),
             pytest.param(
                 K4_TWO_NEG, 4, 1447,
-                "up to 1448 transfer-matrix steps by edge 6 of 6 with 2 vertices open exceed budget 1447",
+                "up to 1448 transfer-matrix steps by edge 5 (2 3 +) with 2 vertices open exceed budget 1447",
                 id="integer-refused-at-the-last-edge",
             ),
             pytest.param(
                 g(3, (0, 1, 1), (1, 2, 1)), (10**7,), None,
-                "up to 139999997 transfer-matrix steps by edge 2 of 2 with 1 vertices open "
+                "up to 139999997 transfer-matrix steps by edge 1 (1 2 +) with 1 vertex open "
                 "exceed budget 100000000",
                 id="path-over-a-large-group",
             ),
