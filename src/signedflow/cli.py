@@ -13,9 +13,10 @@ and the polynomial module with it, is imported only by poly, verify and
 intflow --fit.
 
 Exit codes: 0 success / all-pass, 1 verification mismatch, 2 input error,
-3 search budget exceeded (or a graph too wide for the engine), 4 internal
-error or a report that cannot be written, 130 interrupted (Ctrl-C); the
-report keeps what was counted before it.
+3 search budget exceeded (or a graph too wide for the engine, or a poly
+--d-max whose polynomials would be too large), 4 internal error or a
+report that cannot be written, 130 interrupted (Ctrl-C); the report keeps
+what was counted before it.
 """
 
 from __future__ import annotations

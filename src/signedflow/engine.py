@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from math import comb
 
-from .graph import SignedGraph, _edge_name, _search, drop_edgeless_vertices, frontier_walk
+from .graph import SignedGraph, _edge_name, _forest, frontier_walk
 # unused here; perfbench/tracing.py wraps these names on this module, and
 # each name it wraps must resolve
 from .graph import connected_components, contract_edge, delete_edge, graph_fingerprint, make_edge_positive  # noqa: F401
@@ -144,8 +144,8 @@ def _frontier_sum(g: SignedGraph) -> _Bivariate:
     shift by ``width`` and u + 1 a shift by ``width * room``.  Every
     coefficient sums at most 2^|E| terms of +-1, so a digit never
     overflows, and k <= |E| - |V| + c < ``room``, |V| counting the vertices
-    the walk opens and c their components, the start vertices of
-    ``graph._search`` on the walked graph.
+    the walk opens and c their components, the roots of
+    ``graph._forest``, which keeps only vertices with an edge.
 
     A loop is an edge with both ends at one slot: in A it adds a cycle, and
     a negative one unbalances its block.  A positive loop changes no state,
@@ -158,8 +158,8 @@ def _frontier_sum(g: SignedGraph) -> _Bivariate:
     width = (m + 9) // 8 * 8  # whole bytes, and |digit| <= 2^m < 2^(width - 1)
     x = 1 << width
     # m - |V| + c + 1: a spanning forest has an edge at each vertex but its
-    # component's search start
-    room = m + 1 - sum(v != s for v, s in enumerate(_search(drop_edgeless_vertices(g))[1]))
+    # tree's root
+    room = m + 1 - len(_forest(g, range(m), [1] * m))
     level = width * room
 
     # every slot is free at the start, and again after the last edge
@@ -275,12 +275,40 @@ def _close(states: dict[bytes, int], freed: tuple[int, ...], level: int) -> dict
     return out
 
 
+# the most bits one family's coefficients may take: 8 MB of ints, and
+# about 3.3 bytes per bit at the peak of a poly report (2000 positive loops
+# took 467 MB at 1.4 * 10^8 bits); poly --d-max 100 on K9 counts 5.1 * 10^6
+_FAMILY_BITS = 1 << 26
+
+
 def flow_polynomial_family(g: SignedGraph, d_max: int) -> dict[int, Poly]:
     """``{d: f_d}`` for d = 0..d_max, from one F(q, n): f_d is F(2^d, n),
-    see :func:`flow_polynomial`."""
+    see :func:`flow_polynomial`.
+
+    The coefficients grow as d_max^2 bits, so they are bounded from F's
+    terms before any f_d is formed.  The n^i coefficient of f_d sums the
+    terms c * 2^(d*j) of n^i, so it has at most max(bit_length(c)) +
+    d * max(j) + bit_length(number of terms) bits; summed over d, the d * j
+    part gives max(j) * d_max * (d_max + 1) / 2.  Each coefficient of each
+    f_d, up to the highest power of n in F (one for F = 0), also counts
+    1024 bits for its object and its report text, about 1 KB per f_d on an
+    edgeless graph, so that many small polynomials are bounded too.  Past
+    ``_FAMILY_BITS``, ``BudgetExceededError`` is raised.
+    """
     d_max = _as_int(d_max, "d_max", least=0)
     f = _frontier_sum(g)
-    return {d: _at_q(f, d) for d in range(d_max + 1)}
+    per_power: dict[int, tuple[int, int, int]] = {}  # i -> (most bits, largest j, terms)
+    for (i, j), c in f.items():
+        most, top, terms = per_power.get(i, (0, 0, 0))
+        per_power[i] = max(most, c.bit_length()), max(top, j), terms + 1
+    num_f = d_max + 1
+    bits = num_f * 1024 * (max(per_power, default=0) + 1) + sum(
+        num_f * (most + terms.bit_length()) + top * d_max * num_f // 2 for most, top, terms in per_power.values())
+    if bits > _FAMILY_BITS:
+        raise BudgetExceededError(
+            f"d-max {d_max}: f_0..f_{d_max} may take up to {bits} bits of coefficients, "
+            f"more than the {_FAMILY_BITS} a family may take")
+    return {d: _at_q(f, d) for d in range(num_f)}
 
 
 class QuasiPolynomialFit(Record):

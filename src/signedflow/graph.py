@@ -6,6 +6,13 @@ safe.  A graph is checked once, where it enters (``SignedGraph``,
 ``from_edges``, ``parse_graph_text``); rewrites preserve validity, so the
 graphs they derive are not checked again, and a rewrite that changes nothing
 may return its input.
+
+Two walks over a graph serve the rest of the package: the breadth-first
+numbering inside :func:`frontier_order`, which schedules both counters,
+and one spanning forest, :func:`_forest`, switched positive, which gives
+the components, edge cuts, the engine's corank and the oracle's switching.
+Only :func:`frontier_walk` drops edgeless vertices; the forest never holds
+one, so no caller of it allocates per declared vertex.
 """
 
 from __future__ import annotations
@@ -136,17 +143,17 @@ def switch(g: SignedGraph, x: Iterable[int]) -> SignedGraph:
 def is_edge_cut(g: SignedGraph, d: Iterable[int]) -> bool:
     """Whether ``d`` equals delta(X) for some vertex subset X.
 
-    Decided by 2-coloring: :func:`_search` flips the side across the edges
-    in ``d``, and then every edge must have its ends on different sides
-    exactly when it is in ``d``.  A loop has both ends on
-    one side, so any ``d`` containing a loop fails.  An edgeless vertex can
-    take either side, so the search runs without them (the edge ids stay)
-    and allocates nothing per declared vertex.
+    With the edges in ``d`` signed -1 and the others +1, ``d`` is delta(X)
+    exactly when switching at X makes every edge positive, so exactly when
+    every edge is positive after switching a spanning forest
+    (:func:`_forest`) positive.  A loop keeps its sign under switching, so
+    any ``d`` containing a loop fails.  The forest is kept per vertex with
+    an edge, so nothing is allocated per declared vertex.
     """
     ids = _check_edge_ids(g, d)
-    g = drop_edgeless_vertices(g)
-    _, _, side = _search(g, ids)
-    return all((side[e.u] != side[e.v]) == (i in ids) for i, e in enumerate(g.edges))
+    signs = [-1 if i in ids else 1 for i in range(g.num_edges)]
+    flip = {w: f for w, (_, f) in _forest(g, range(g.num_edges), signs).items()}
+    return all(flip.get(e.u, 1) * flip.get(e.v, 1) == signs[i] for i, e in enumerate(g.edges))
 
 
 def signatures_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:
@@ -218,9 +225,8 @@ def drop_edgeless_vertices(g: SignedGraph) -> SignedGraph:
     order and the edge order kept; ``g`` itself when every vertex has an edge.
 
     No flow count depends on an edgeless vertex, so :func:`frontier_walk`,
-    which the engine and the oracle follow, the engine's component count
-    and :func:`is_edge_cut` call this first and then never allocate per
-    declared vertex.
+    which the engine and the oracle follow, calls this first and then never
+    allocates per declared vertex; no other caller in the package does.
     """
     used = sorted({w for e in g.edges for w in (e.u, e.v)})
     if len(used) == g.num_vertices:
@@ -229,53 +235,49 @@ def drop_edgeless_vertices(g: SignedGraph) -> SignedGraph:
     return _derived(len(used), tuple(Edge(label[e.u], label[e.v], e.sign) for e in g.edges))
 
 
-def _search(
-    g: SignedGraph, flip: frozenset[int] = frozenset()
-) -> tuple[list[int], list[int], list[int]]:
-    """The one graph search: per vertex, its breadth-first number, the
-    vertex its search started from, and its side, which flips across the
-    edges in ``flip`` (0 at each start vertex).
+def _forest(
+    g: SignedGraph, order: Iterable[int], signs: list[int]
+) -> dict[int, tuple[int, int]]:
+    """A spanning forest of the edges ``order`` lists, grown over them in
+    that order, and the switching that makes each of its edges positive
+    under ``signs`` (a sign per edge id): for each vertex that is not its
+    tree's root, that root and the sign switching puts at the vertex.
 
-    Each search starts from an unnumbered vertex of least degree (a loop
-    counts twice, ties go to the lower id), so the start vertices tell the
-    components apart.
+    The one spanning forest of the package.  Its roots name the components
+    (:func:`connected_components`), its size is |V| - c for the vertices
+    with an edge (the engine's corank bound), and switching it positive
+    decides edge cuts (:func:`is_edge_cut`) and the oracle's taus.  An edge
+    joins two trees or closes a cycle; the smaller tree goes under the
+    larger, so no vertex is deeper than log2 of its tree's size (else a
+    star's tree can gain a level per edge).  Only vertices with an edge in
+    ``order`` appear, so nothing is allocated per declared vertex.
     """
-    degree = [0] * g.num_vertices
-    adjacent: list[list[tuple[int, bool]]] = [[] for _ in range(g.num_vertices)]
-    for i, e in enumerate(g.edges):
-        degree[e.u] += 1
-        degree[e.v] += 1
-        if not e.is_loop():
-            flips = i in flip
-            adjacent[e.u].append((e.v, flips))
-            adjacent[e.v].append((e.u, flips))
-    number = [-1] * g.num_vertices
-    start = [0] * g.num_vertices
-    side = [0] * g.num_vertices
-    numbered = 0
-    for root in sorted(range(g.num_vertices), key=degree.__getitem__):
-        if number[root] >= 0:
-            continue
-        number[root] = numbered
-        numbered += 1
-        start[root] = root
-        queue = [root]
-        for w in queue:  # the queue grows while it is read
-            for x, flips in adjacent[w]:
-                if number[x] < 0:
-                    number[x] = numbered
-                    numbered += 1
-                    start[x] = root
-                    side[x] = side[w] ^ flips
-                    queue.append(x)
-    return number, start, side
+    up: dict[int, tuple[int, int]] = {}  # vertex -> (parent, its sign relative to the parent)
+    size: dict[int, int] = {}
+
+    def find(w: int) -> tuple[int, int]:
+        f = 1
+        while w in up:
+            w, step = up[w]
+            f *= step
+        return w, f
+
+    for i in order:
+        (a, fa), (b, fb) = find(g.edges[i].u), find(g.edges[i].v)
+        if a != b:  # a forest edge: switch a's tree so that the edge is positive
+            if size.get(a, 1) > size.get(b, 1):
+                a, b = b, a
+            up[a] = b, signs[i] * fa * fb
+            size[b] = size.get(a, 1) + size.get(b, 1)
+    return {w: find(w) for w in up}
 
 
 def frontier_order(g: SignedGraph) -> list[int]:
     """Edge ids of ``g`` in an order that keeps few vertices half done.
 
-    Vertices are numbered by :func:`_search`, breadth-first from a vertex of
-    least degree.  Edges are then sorted by the number of their later
+    Vertices are numbered breadth-first, each search starting from an
+    unnumbered vertex of least degree (a loop counts twice, ties go to the
+    lower id).  Edges are then sorted by the number of their later
     endpoint, ties kept in id order.  Processing edges in this order, a
     vertex is open from its first edge to its last, and the open vertices
     stay near a BFS layer rather than spreading over the whole graph.
@@ -283,7 +285,24 @@ def frontier_order(g: SignedGraph) -> list[int]:
     >>> frontier_order(SignedGraph.from_edges(4, [(2, 3, 1), (0, 1, -1), (1, 2, 1)]))
     [1, 2, 0]
     """
-    number = _search(g)[0]
+    adjacent: list[list[int]] = [[] for _ in range(g.num_vertices)]
+    for u, v, _ in g.edges:  # a loop is listed twice at its vertex
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    number = [-1] * g.num_vertices
+    numbered = 0
+    for root in sorted(range(g.num_vertices), key=list(map(len, adjacent)).__getitem__):
+        if number[root] >= 0:
+            continue
+        number[root] = numbered
+        numbered += 1
+        queue = [root]
+        for w in queue:  # the queue grows while it is read
+            for x in adjacent[w]:
+                if number[x] < 0:
+                    number[x] = numbered
+                    numbered += 1
+                    queue.append(x)
     return sorted(range(g.num_edges), key=lambda i: max(number[g.edges[i].u], number[g.edges[i].v]))
 
 
@@ -334,16 +353,17 @@ def frontier_walk(
 def connected_components(g: SignedGraph) -> list[SignedGraph]:
     """Split into vertex-disjoint components, each densely relabeled.
 
-    A component is the vertices one search of :func:`_search` reaches.
-    Components are ordered by their smallest original vertex; isolated
-    vertices form singleton components.  Edge order is preserved within
-    each component.  A connected graph gives ``[g]``, the input itself.
+    A component is named by its root in :func:`_forest`.  Components are
+    ordered by their smallest original vertex; isolated vertices form
+    singleton components.  Edge order is preserved within each component.
+    A connected graph gives ``[g]``, the input itself.
     """
-    start = _search(g)[1]
-    comp: dict[int, int] = {}  # start vertex -> component, in order of smallest vertex
+    forest = _forest(g, range(g.num_edges), [1] * g.num_edges)
+    root = [forest[v][0] if v in forest else v for v in range(g.num_vertices)]
+    comp: dict[int, int] = {}  # root -> component, in order of smallest vertex
     label, sizes = [], []
-    for s in start:
-        c = comp.setdefault(s, len(sizes))
+    for r in root:
+        c = comp.setdefault(r, len(sizes))
         if c == len(sizes):
             sizes.append(0)
         label.append(sizes[c])
@@ -352,7 +372,7 @@ def connected_components(g: SignedGraph) -> list[SignedGraph]:
         return [g]
     edges: list[list[Edge]] = [[] for _ in sizes]
     for e in g.edges:
-        edges[comp[start[e.u]]].append(Edge(label[e.u], label[e.v], e.sign))
+        edges[comp[root[e.u]]].append(Edge(label[e.u], label[e.v], e.sign))
     return [_derived(n, tuple(es)) for n, es in zip(sizes, edges)]
 
 

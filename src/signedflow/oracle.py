@@ -25,6 +25,7 @@ from .graph import (
     Orientation,
     SignedGraph,
     _edge_name,
+    _forest,
     default_orientation,
     frontier_walk,
 )
@@ -35,13 +36,15 @@ DEFAULT_BUDGET = 10**8
 
 
 class BudgetExceededError(Exception):
-    """The transfer-matrix steps a count may take exceed the budget."""
+    """The transfer-matrix steps a count may take exceed the budget, or the
+    engine refuses a walk too wide for its states or a family too large."""
 
 
 def _forest_switched(g: SignedGraph, walk: list, tau: Orientation) -> list[tuple[int, int]]:
     """tau at each edge of ``walk``, in walk order, switched so that every
     edge of a spanning forest grown over the walk from its end has
-    tau0 = -tau1.
+    tau0 = -tau1: the forest of ``graph._forest``, with each edge's sign
+    taken as -tau0 * tau1 from tau, which need not fit the graph's signs.
 
     Switching negates tau at every half-edge of a vertex, which negates
     that vertex's sum, so the flows and every count stay the same, for any
@@ -50,33 +53,12 @@ def _forest_switched(g: SignedGraph, walk: list, tau: Orientation) -> list[tuple
     every other edge adds 0.  Grown from the end, the forest leaves out an
     edge only when later edges close a cycle with it; if that cycle is
     balanced, the edge gets tau0 = -tau1, so a component's last edge with
-    tau0 = tau1 is as early in the walk as any switching can put it.  The
-    forest is a union-find over the walk's vertices, each with its flip
-    relative to its parent.
+    tau0 = tau1 is as early in the walk as any switching can put it.
     """
-    up: dict[int, tuple[int, int]] = {}
-    size: dict[int, int] = {}
-
-    def flip(w: int) -> tuple[int, int]:
-        """The root of w's tree and w's flip relative to it."""
-        f = 1
-        while w in up:
-            w, step = up[w]
-            f *= step
-        return w, f
-
-    for i, *_ in reversed(walk):
-        (a, fa), (b, fb) = flip(g.edges[i].u), flip(g.edges[i].v)
-        if a != b:  # a forest edge: flip a's tree so that it gets tau0 = -tau1
-            # the smaller tree goes under the larger, so no tree is deeper
-            # than log2 of its size (else a star's tree can gain a level per edge)
-            if size.get(a, 1) > size.get(b, 1):
-                a, b = b, a
-            up[a] = b, -fa * fb * tau.taus[i][0] * tau.taus[i][1]
-            size[b] = size.get(a, 1) + size.get(b, 1)
-    return [
-        (tau.taus[i][0] * flip(g.edges[i].u)[1], tau.taus[i][1] * flip(g.edges[i].v)[1]) for i, *_ in walk
-    ]
+    forest = _forest(g, [i for i, *_ in reversed(walk)], [-t0 * t1 for t0, t1 in tau.taus])
+    flip = {w: f for w, (_, f) in forest.items()}
+    return [(tau.taus[i][0] * flip.get(g.edges[i].u, 1), tau.taus[i][1] * flip.get(g.edges[i].v, 1))
+            for i, *_ in walk]
 
 
 # The last plan made, as ((g, tau), plan): one tuple, so that it is

@@ -18,6 +18,7 @@ from signedflow import (
     abelian_groups_up_to,
     cli,
     count_integer_nflows,
+    flow_polynomial,
     nonzero_sum_count,
     parse_graph_text,
     signatures_equivalent,
@@ -325,6 +326,15 @@ class TestPoly:
         # 1 + ((1 - n)^600 - 1) / n is the count of x_1 + ... + x_600 = 0
         graph = SignedGraph(2, [(0, 1, (-1) ** i) for i in range(1200)])
         assert self.poly_family(capsys, write_graph, graph, 0) == [nonzero_sum_count(600) ** 2]
+
+    def test_the_family_bound_admits_large_reports(self, capsys, write_graph):
+        # the all-positive triangle has f_d = 2^d n - 1; K9 to d = 100 is a
+        # report of 1.3 MB
+        assert self.poly_family(capsys, write_graph, TRIANGLE, 1000) == [
+            Poly((-1, 2**d)) for d in range(1001)]
+        k9 = SignedGraph(9, [(u, v, 1) for u in range(9) for v in range(u + 1, 9)])
+        family = self.poly_family(capsys, write_graph, k9, 100)
+        assert len(family) == 101 and family[100] == flow_polynomial(k9, 100)
 
     def test_three_thousand_vertex_cycle_with_one_negative_edge(self, capsys, write_graph):
         # an unbalanced cycle: all its edges take one value x with 2x = 0
@@ -829,6 +839,24 @@ class TestEquivAndSwitch:
 HUGE_DIGON = "vertices 1000000000000\nedge 0 999999999999 +\nedge 0 999999999999 -\n"
 
 
+def capped_child(*argv) -> subprocess.CompletedProcess:
+    """The command run in a child under an 800 MB address-space limit, so
+    that work that grows past it fails at once instead of filling the
+    machine's memory."""
+    resource = pytest.importorskip("resource")
+    limit = 800 * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(cli.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "signedflow.cli", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["equiv", "--other", "{graph}"],
     ["count", "--group", "3"],
@@ -838,25 +866,50 @@ HUGE_DIGON = "vertices 1000000000000\nedge 0 999999999999 +\nedge 0 999999999999
     ["intflow", "--n-max", "6"],
 ])
 def test_huge_vertex_count_costs_no_memory_per_vertex(tmp_path, argv):
-    # a child under an 800 MB address-space limit, so that work per declared
-    # vertex fails at once instead of filling the machine's memory
-    resource = pytest.importorskip("resource")
-    limit = 800 * 2**20
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
     path = tmp_path / "huge.txt"
     path.write_text(HUGE_DIGON)
     argv = [a.format(graph=path) for a in argv]
-    src = Path(cli.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "signedflow.cli", *argv, "--graph", str(path), "--json"],
-        capture_output=True, text=True, timeout=60, preexec_fn=cap,
-        env=dict(os.environ, PYTHONPATH=str(src)),
-    )
+    proc = capped_child(*argv, "--graph", str(path), "--json")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["status"] == "ok"
+
+
+def test_a_d_max_too_large_for_memory_is_refused_before_any_polynomial(write_graph):
+    # the coefficients grow as d_max^2 bits: at 10^6 on the triangle the
+    # family ran out of any address space (under the limit, exit 4 after a
+    # second); the bound refuses it from F's terms alone
+    proc = capped_child("poly", "--graph", write_graph(TRIANGLE), "--d-max", "1000000", "--json")
+    assert (proc.returncode, proc.stderr) == (3, "")
+    report = json.loads(proc.stdout)
+    assert (report["status"], report["results"]) == ("error", {})
+    assert report["message"] == (
+        "d-max 1000000: f_0..f_1000000 may take up to 502052502052 bits of coefficients, "
+        "more than the 67108864 a family may take")
+
+
+def test_only_the_walk_drops_edgeless_vertices(capsys, write_graph, monkeypatch):
+    # every module that binds the name is patched, so a second drop anywhere
+    # in the package is counted, with the function that made it
+    import signedflow.engine  # noqa: F401  (its names are bound before they are patched)
+    from signedflow import graph as graph_module
+
+    original = graph_module.drop_edgeless_vertices
+    callers = []
+
+    def counting(g):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "signedflow" and vars(module).get("drop_edgeless_vertices") is original:
+            monkeypatch.setattr(module, "drop_edgeless_vertices", counting)
+    monkeypatch.setattr(cli.oracle, "_last_plan", ((None, None), None))
+    padded = write_graph(g(7, (1, 4, 1), (4, 5, -1), (1, 5, 1), (5, 5, -1)))
+    for argv, expected in ((["poly"], ["frontier_walk"]), (["count", "--group", "3"], ["frontier_walk"]),
+                           (["equiv", "--other", padded], [])):
+        callers.clear()
+        code, _ = run_cli(capsys, *argv, "--graph", padded)
+        assert (code, callers) == (0, expected), argv
 
 
 class TestIntflow:

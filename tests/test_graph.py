@@ -26,7 +26,7 @@ from signedflow import (
     switch,
 )
 
-from signedflow.graph import drop_edgeless_vertices, frontier_order, frontier_walk
+from signedflow.graph import _forest, drop_edgeless_vertices, frontier_order, frontier_walk
 
 from corpusgen import (
     DIGON_PM,
@@ -454,6 +454,36 @@ class TestDropEdgelessVertices:
         for graph in (TRIANGLE, NEG_LOOP, g(0)):
             assert drop_edgeless_vertices(graph) is graph
         assert drop_edgeless_vertices(g(3)) == g(0)
+
+
+class TestForest:
+    @given(signed_graphs(max_vertices=7, max_edges=10), st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_a_spanning_forest_in_the_given_order_switched_positive(self, graph, rng):
+        order = list(range(graph.num_edges))
+        rng.shuffle(order)
+        signs = [rng.choice((1, -1)) for _ in order]
+        forest = _forest(graph, order, signs)
+        # grown by plain component labels: an edge that joins two of them is
+        # a forest edge, positive once the forest's signs are switched in
+        label = {w: w for w in range(graph.num_vertices)}
+        flip = {w: f for w, (_, f) in forest.items()}
+        joins = 0
+        for i in order:
+            u, v, _ = graph.edges[i]
+            if label[u] != label[v]:
+                old = label[u]
+                label = {w: label[v] if c == old else c for w, c in label.items()}
+                assert flip.get(u, 1) * signs[i] * flip.get(v, 1) == 1
+                joins += 1
+        assert len(forest) == joins  # one vertex per forest edge is not a root
+        root = {w: forest[w][0] if w in forest else w for w in label}
+        assert all(r not in forest for r in root.values())
+        assert all((root[a] == root[b]) == (label[a] == label[b]) for a in label for b in label)
+
+    def test_only_vertices_with_an_edge_appear(self):
+        # the loop closes no tree; of two trees of one vertex, u's goes under v's
+        assert _forest(g(10**9, (5, 7, 1), (7, 7, 1)), [1, 0], [-1, 1]) == {5: (7, -1)}
 
 
 def open_vertex_peak(graph: SignedGraph, order: list[int]) -> int:
