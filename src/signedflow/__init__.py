@@ -12,8 +12,8 @@ Each public name is imported from its module on first use (PEP 562), so
 
 # public name -> the module of this package that defines it
 _MODULE_OF = {
-    "BudgetExceededError": "oracle",
-    "DEFAULT_BUDGET": "oracle",
+    "BudgetExceededError": "values",
+    "DEFAULT_BUDGET": "values",
     "Edge": "graph",
     "FiniteAbelianGroup": "groups",
     "Orientation": "graph",

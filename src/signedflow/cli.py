@@ -31,7 +31,7 @@ from .groups import FiniteAbelianGroup, abelian_groups_of_order, group_pairs_sam
 # unused here; perfbench/tracing.py wraps this name on this module, and each
 # name it wraps must resolve
 from .groups import abelian_groups_up_to  # noqa: F401
-from .values import _as_int, _int_list, _int_text
+from .values import DEFAULT_BUDGET, BudgetExceededError, _as_int, _int_list, _int_text
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -73,8 +73,8 @@ def _counted(label: str, count, g: SignedGraph, size, budget: int) -> int:
     intflow's n; a refusal names which one it was."""
     try:
         return count(g, size, budget=budget)
-    except oracle.BudgetExceededError as exc:
-        raise oracle.BudgetExceededError(f"{label}: {exc}") from None
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(f"{label}: {exc}") from None
 
 
 def _cmd_count(g: SignedGraph, args, results: dict, human: list[str]) -> int:
@@ -97,9 +97,9 @@ def _cmd_poly(g: SignedGraph, args, results: dict, human: list[str]) -> int:
     family = engine.flow_polynomial_family(g, args["d_max"])
     polys = [{"d": d, **_poly_json(p)} for d, p in family.items()]
     results.update(d_max=args["d_max"], polynomials=polys, graph_fingerprint=graph_fingerprint(g))
-    human.append(f"graph: {g.num_vertices} vertices, {g.num_edges} edges")
-    for entry in polys:
-        human.append(f"f_{entry['d']}(n) = {entry['text']}    coeffs {entry['coeffs']}")
+    if not args["json"]:  # each line writes every coefficient out once more
+        human.append(f"graph: {g.num_vertices} vertices, {g.num_edges} edges")
+        human.extend(f"f_{entry['d']}(n) = {entry['text']}    coeffs {entry['coeffs']}" for entry in polys)
     return EXIT_OK
 
 
@@ -196,7 +196,7 @@ def _cmd_intflow(g: SignedGraph, args, results: dict, human: list[str]) -> int:
 # for a flag, which takes no value; a default of None marks a required
 # option.  The parsed options, without json, are the report's "inputs".
 _COMMON = {"--graph": ("graph", None, None), "--json": ("json", bool, False)}
-_BUDGET = {"--budget": ("budget", _int_text, oracle.DEFAULT_BUDGET)}
+_BUDGET = {"--budget": ("budget", _int_text, DEFAULT_BUDGET)}
 _COMMANDS = {
     "count": (_cmd_count, {**_COMMON, **_BUDGET, "--group": ("group", None, None)}),
     "poly": (_cmd_poly, {**_COMMON, "--d-max": ("d_max", _int_text, 2)}),
@@ -318,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
             code = _COMMANDS[command][0](_load_graph(args["graph"]), args, results, human)
     except KeyboardInterrupt:
         message, code = "interrupted", EXIT_INTERRUPTED
-    except oracle.BudgetExceededError as exc:
+    except BudgetExceededError as exc:
         message, code = str(exc), EXIT_BUDGET
     except ValueError as exc:
         message, code = str(exc), EXIT_INPUT

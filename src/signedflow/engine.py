@@ -31,9 +31,8 @@ from .graph import SignedGraph, _edge_name, _forest, frontier_walk
 # unused here; perfbench/tracing.py wraps these names on this module, and
 # each name it wraps must resolve
 from .graph import connected_components, contract_edge, delete_edge, graph_fingerprint, make_edge_positive  # noqa: F401
-from .oracle import BudgetExceededError
 from .polynomial import Poly, _as_exact, interpolate
-from .values import Record, _as_int
+from .values import BudgetExceededError, Value, _as_int
 
 # F(q, n) as {(i, j): c} for the terms c * n^i * q^j, zero terms omitted.
 _Bivariate = dict[tuple[int, int], int]
@@ -311,7 +310,7 @@ def flow_polynomial_family(g: SignedGraph, d_max: int) -> dict[int, Poly]:
     return {d: _at_q(f, d) for d in range(num_f)}
 
 
-class QuasiPolynomialFit(Record):
+class QuasiPolynomialFit(Value):
     """Per-parity interpolation of integer-flow counts.
 
     ``validated`` means the held-out largest sample of each parity class is
@@ -322,10 +321,10 @@ class QuasiPolynomialFit(Record):
 
     def __init__(self, p_even: Poly, p_odd: Poly, validated: bool,
                  sample_range: tuple[int, int]) -> None:
-        self.p_even = p_even
-        self.p_odd = p_odd
-        self.validated = validated
-        self.sample_range = sample_range
+        object.__setattr__(self, "p_even", p_even)
+        object.__setattr__(self, "p_odd", p_odd)
+        object.__setattr__(self, "validated", validated)
+        object.__setattr__(self, "sample_range", sample_range)
 
 
 # the least n_max a fit takes: three samples per parity class

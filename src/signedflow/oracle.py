@@ -30,14 +30,7 @@ from .graph import (
     frontier_walk,
 )
 from .groups import FiniteAbelianGroup
-from .values import _as_int
-
-DEFAULT_BUDGET = 10**8
-
-
-class BudgetExceededError(Exception):
-    """The transfer-matrix steps a count may take exceed the budget, or the
-    engine refuses a walk too wide for its states or a family too large."""
+from .values import DEFAULT_BUDGET, BudgetExceededError, _as_int
 
 
 def _forest_switched(g: SignedGraph, walk: list, tau: Orientation) -> list[tuple[int, int]]:

@@ -1,5 +1,7 @@
-"""Equality, hashing, repr, immutability and pickling, defined once, and
-the integer check every constructor, entry point and text reader makes.
+"""Equality, hashing, repr, immutability and pickling, defined once; the
+integer check every constructor, entry point and text reader makes; and
+``BudgetExceededError``, the refusal the oracle and the engine raise, with
+``DEFAULT_BUDGET``, the steps a count may take unless told otherwise.
 
 A class lists its fields in ``__slots__`` in the order its constructor
 takes them; that is the one invariant the methods below rely on, since
@@ -10,6 +12,13 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterator
+
+DEFAULT_BUDGET = 10**8
+
+
+class BudgetExceededError(Exception):
+    """The transfer-matrix steps a count may take exceed the budget, or the
+    engine refuses a walk too wide for its states or a family too large."""
 
 
 def _as_int(value, what: str, least: int | None = None, below: int | None = None) -> int:
@@ -44,10 +53,12 @@ def _int_list(text: str, what: str) -> Iterator[int]:
     return (_int_text(tok.strip(), what) for tok in (text.split(",") if text.strip() else ()))
 
 
-class Record:
-    """Equal to a record of the same class with equal fields; shown as
-    ``Name(field=value, ...)``; copied and pickled through its constructor.
-    Mutable, and so unhashable: defining ``__eq__`` drops the inherited hash."""
+class Value:
+    """Equal to a value of the same class with equal fields, and hashed by
+    them; shown as ``Name(field=value, ...)``; copied and pickled through
+    its constructor.  The constructor sets the slots with
+    ``object.__setattr__``; afterwards assigning or deleting an attribute
+    is an ``AttributeError``."""
 
     __slots__ = ()
 
@@ -59,23 +70,15 @@ class Record:
             return self._values() == other._values()
         return NotImplemented
 
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__name__}({fields})"
 
     def __reduce__(self):
         return self.__class__, self._values()
-
-
-class Value(Record):
-    """An immutable ``Record``, hashed by its fields.  The constructor sets
-    the slots with ``object.__setattr__``; afterwards assigning or deleting
-    an attribute is an ``AttributeError``."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{self.__class__.__name__} is immutable")

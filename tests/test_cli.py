@@ -301,6 +301,27 @@ class TestPoly:
         assert len(report["results"]["graph_fingerprint"]) == 64
         assert report["results"]["polynomials"][0]["coeffs"] == [-1, 1]
 
+    def test_json_builds_no_human_lines(self, capsys, write_graph, monkeypatch):
+        # a human line writes the coefficients out with repr; --json never
+        # builds one, so a coefficient list that cannot be shown is not seen
+        class Unshown(list):
+            def __repr__(self):
+                raise RuntimeError("human line built")
+
+        poly_json = cli._poly_json
+
+        def unshown(p):
+            entry = poly_json(p)
+            return {**entry, "coeffs": Unshown(entry["coeffs"])}
+
+        argv = ("poly", "--graph", write_graph(POS_LOOP), "--d-max", "2")
+        expected = run_cli(capsys, *argv, "--json")
+        assert expected[0] == 0
+        monkeypatch.setattr(cli, "_poly_json", unshown)
+        assert run_cli(capsys, *argv, "--json") == expected
+        assert cli.main(list(argv)) == 4  # the patch takes effect
+        assert capsys.readouterr().err == "error: internal error: RuntimeError: human line built\n"
+
     def test_fingerprint_tracks_the_graph(self, capsys, write_graph):
         def fingerprint(graph):
             code, out = run_cli(capsys, "poly", "--graph", write_graph(graph), "--d-max", "1", "--json")

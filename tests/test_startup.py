@@ -115,3 +115,13 @@ def test_public_names_resolve_to_their_modules():
     assert signedflow.__all__ == sorted(signedflow._MODULE_OF)
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         signedflow.no_such_name
+
+
+def test_the_engine_loads_no_oracle():
+    # the oracle checks the engine, so loading the engine must not run it
+    child = ("import sys; before = set(sys.modules); import signedflow.engine; "
+             "print(*sorted(m for m in set(sys.modules) - before if m.startswith('signedflow')))")
+    out = subprocess.run([sys.executable, "-S", "-c", child], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["signedflow", "signedflow.engine", "signedflow.graph",
+                           "signedflow.polynomial", "signedflow.values"]

@@ -153,12 +153,15 @@ class TestQuasiPolynomialFit:
         assert fit != QuasiPolynomialFit(Poly((-1, 1)), Poly((-1, 1)), False, (1, 8))
         assert polynomial_for(fit, 3) == Poly((-1, 1))
 
-    def test_mutable_and_unhashable(self):
+    def test_immutable_and_hashable(self):
         fit = QuasiPolynomialFit(Poly((1,)), Poly((1,)), True, (1, 8))
-        fit.validated = False
-        assert not fit.validated
-        with pytest.raises(TypeError):
-            hash(fit)
+        with pytest.raises(AttributeError):
+            fit.validated = False
+        with pytest.raises(AttributeError):
+            del fit.p_even
+        assert fit.validated and fit.p_even == Poly((1,))
+        same = QuasiPolynomialFit(Poly([1, 0]), Poly((1,)), True, (1, 8))
+        assert same == fit and hash(same) == hash(fit) and {fit: 1}[same] == 1
 
     def test_deepcopy_and_pickle(self):
         fit = fit_quasipolynomial([(n, n * n // 2) for n in range(1, 9)])
