@@ -240,9 +240,8 @@ def _contract(states: dict[bytes, int], sa: int, sb: int, negative: bool,
     when they leave.  A contraction is a translation table, made once per
     pair of labels at the edge's ends and kept in ``moves``.  See
     :func:`_frontier_sum`."""
-    out: dict[bytes, int] = {}
+    out = states.copy()  # the deletion leaves every state as it is
     for s, c in states.items():
-        out[s] = out.get(s, 0) + c
         key = s[sa] << 8 | s[sb]
         move = moves.get(key)
         if move is None:

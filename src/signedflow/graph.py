@@ -17,6 +17,7 @@ one, so no caller of it allocates per declared vertex.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from collections.abc import Iterable
 
@@ -424,13 +425,14 @@ def graph_to_text(g: SignedGraph) -> str:
 def graph_fingerprint(g: SignedGraph) -> str:
     """Stable digest of the graph's canonical text form."""
     # CPython's own SHA-256, which loads in no time, where hashlib loads
-    # OpenSSL (about 3 ms) for this one small digest; only poly needs it
+    # OpenSSL (about 3 ms) for this one small digest; only poly needs it.
+    # Its module is chosen by version, as a failed import searches sys.path
     try:
-        from _sha2 import sha256  # Python 3.12+
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
     except ImportError:
-        try:
-            from _sha256 import sha256  # Python 3.10 and 3.11
-        except ImportError:
-            from hashlib import sha256  # a build without either
+        from hashlib import sha256  # a build without it
 
     return sha256(graph_to_text(g).encode("ascii")).hexdigest()

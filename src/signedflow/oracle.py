@@ -59,29 +59,29 @@ def _forest_switched(g: SignedGraph, walk: list, tau: Orientation) -> list[tuple
 _last_plan: tuple = ((None, None), None)
 
 
-def _plan(g: SignedGraph, tau: Orientation) -> tuple[list, list, set[int]]:
-    """The part of a count that does not depend on the group: ``(edges,
-    ahead, forced)`` for g under tau.
+def _plan(g: SignedGraph, tau: Orientation) -> list[tuple]:
+    """The part of a count that does not depend on the group: one record
+    per edge of g under tau, in walk order.
 
     One pass over :func:`frontier_walk`, with each edge's tau from
     :func:`_forest_switched`, gives each edge its record ``(edge id, slot
     of u, slot of v, k_u, k_v, ends it closes, vertices it leaves open,
-    vertices open after it)``, a closing end first: the edge adds k_u * x
-    at u and k_v * x at v.  The open count after it is the walk's own.  A
-    loop's second end is the phantom slot, one place past the walk's last
-    slot, whose sum is always 0: the loop adds 0 * x there and
-    (tau0 + tau1) * x at its vertex, and the phantom end closes when the
-    vertex does.  ``ahead`` holds, per edge and end, the factor the end's
-    last edge adds x with there if this is its next-to-last edge, else
-    None.
+    vertices open after it, ahead at u, ahead at v, forced)``, a closing
+    end first: the edge adds k_u * x at u and k_v * x at v.  The open
+    count after it is the walk's own.  A loop's second end is the phantom
+    slot, one place past the walk's last slot, whose sum is always 0: the
+    loop adds 0 * x there and (tau0 + tau1) * x at its vertex, and the
+    phantom end closes when the vertex does.  Ahead at an end is the
+    factor the end's last edge adds x with there if this is its
+    next-to-last edge, else None.
 
     The edges that leave no vertex open cut the walk into stretches.  A
     vertex opened in a stretch closes in it, with sum 0 in a flow, so the
     sums at a stretch's vertices total 0 at its end, whatever the edge
     order.  Only an edge with tau0 = tau1 changes that total, so after a
-    stretch's last such edge the open sums must already total 0.
-    ``forced`` holds that edge's position in each stretch where it is not
-    the stretch's last edge.
+    stretch's last such edge the open sums must already total 0.  Forced
+    is True at that edge in each stretch where it is not the stretch's
+    last edge.
 
     Only the last plan is kept, keyed by the value of ``(g, tau)``, so the
     counts of one graph over many groups or many n plan it once.  The plan
@@ -93,37 +93,34 @@ def _plan(g: SignedGraph, tau: Orientation) -> tuple[list, list, set[int]]:
         return plan
     walk = frontier_walk(g)
     phantom = 1 + max((max(step[1:3]) for step in walk), default=0)
-    edges: list[tuple[int, int, int, int, int, int, int, int]] = []
-    ahead: list[list[int | None]] = []
-    # per open slot that has had an edge: (position, end) of its latest edge
-    latest: dict[int, tuple[int, int]] = {}
-    # positions of each stretch's last edge with tau0 = tau1 where that is
-    # not the stretch's last edge; charged is the latest in this stretch
-    forced: set[int] = set()
-    charged = -1
-    switched = _forest_switched(g, walk, tau)
-    for pos, ((i, su, sv, _, freed, num_open), (t0, t1)) in enumerate(zip(walk, switched)):
+    records: list[list] = []
+    # per open slot that has had an edge: (record, end) of its latest edge
+    latest: dict[int, tuple[list, int]] = {}
+    # the record of the latest edge with tau0 = tau1 in this stretch
+    charged: list | None = None
+    for (i, su, sv, _, freed, num_open), (t0, t1) in zip(walk, _forest_switched(g, walk, tau)):
+        record = [i]
         if t0 + t1:
-            charged = pos
+            charged = record
         closes, opens = len(freed), len({su, sv}) - len(freed)
-        if not num_open:  # the stretch ends here
-            if 0 <= charged < pos:
-                forced.add(charged)
-            charged = -1
         for w in freed:
             if w in latest:
                 prev, end = latest.pop(w)
-                ahead[prev][end] = t0 + t1 if su == sv else t0 if w == su else t1
+                prev[8 + end] = t0 + t1 if su == sv else t0 if w == su else t1
         if su not in freed:  # v closes, or neither end does
             su, sv, t0, t1 = sv, su, t1, t0
         for end, w in ((1, sv), (0, su)):  # a loop's one end is u
             if w not in freed:
-                latest[w] = pos, end
+                latest[w] = record, end
         if su == sv:  # a loop: its second end is the phantom, closing with its vertex
             sv, t0, t1, closes = phantom, t0 + t1, 0, 2 * closes
-        edges.append((i, su, sv, t0, t1, closes, opens, num_open))
-        ahead.append([None, None])
-    plan = edges, ahead, forced
+        record += su, sv, t0, t1, closes, opens, num_open, None, None, False
+        records.append(record)
+        if not num_open:  # the stretch ends here
+            if charged is not None and charged is not record:
+                charged[10] = True
+            charged = None
+    plan = [tuple(record) for record in records]
     _last_plan = (g, tau), plan
     return plan
 
@@ -135,12 +132,18 @@ def _count_flows(
     Kirchhoff's law at every vertex; the oracle's only enumerator.
 
     ``values`` are ranges of element indices of ``gamma`` (see
-    ``index_table``); an index in two ranges is two values.  A frontier
-    transfer-matrix count along :func:`frontier_walk`: a state holds the
-    sums at the open vertices, as the base-``order`` digits of one int (the
-    walk's slots are the digit places), and maps to the number of partial
-    assignments that reach it.  A closed vertex's digit is 0 in every
-    surviving state, so its slot can pass to the next vertex opened.
+    ``index_table``); an index in two ranges is two values.  They must be
+    closed under negation, -x as often as x, as the nonzero elements and
+    +-1..+-(n-1) are: then as many values x have k * x = -d as have
+    k * x = d, so one tally of the values by k * x, per factor k, gives
+    every lookup below.
+
+    A frontier transfer-matrix count along :func:`frontier_walk`: a state
+    holds the sums at the open vertices, as the base-``order`` digits of
+    one int (the walk's slots are the digit places), and maps to the
+    number of partial assignments that reach it.  A closed vertex's digit
+    is 0 in every surviving state, so its slot can pass to the next vertex
+    opened.
 
     Every edge has two ends, each a slot with a factor k (see :func:`_plan`;
     a loop's second end is a phantom slot whose digit stays 0 and whose k
@@ -174,13 +177,13 @@ def _count_flows(
     ``budget`` steps, ``BudgetExceededError`` is raised.
     """
     budget = _as_int(budget, "budget", least=0)
-    edges, ahead, forced = _plan(g, tau)
-    if not edges:
+    plan = _plan(g, tau)
+    if not plan:
         return 1
     # a range's length is stop - start: len() fails past sys.maxsize
     r, num_values = gamma.order, sum(p.stop - p.start for p in values)
     num_open, steps, bound = 0, 4 * r + num_values, 1
-    for i, *_, closes, opens, after in edges:
+    for i, _, _, _, _, closes, opens, after, *_ in plan:
         fanout = 1 if closes else num_values
         steps += bound * fanout + 2 * (r + num_values) + min(bound * opens, r) * r
         if steps > budget:
@@ -204,30 +207,23 @@ def _count_flows(
         return rows[s]
 
     # by k: the index of k * a for each element a, and how many values x
-    # give each k * x
-    tables, tallies = {1: ids, -1: neg}, {1: mult}
+    # give each k * x, as many as give -k * x (the values are closed under
+    # negation); a tally for k = None checks nothing
+    tables, tallies = {1: ids, -1: neg}, {1: mult, -1: mult}
 
     def table(k: int) -> list[int]:
         if k not in tables:
             tables[k] = gamma.index_table(0, k)
         return tables[k]
 
-    def tally(k: int) -> list[int]:
-        if k not in tallies:
+    def tally(k: int | None) -> list[int] | None:
+        if k is not None and k not in tallies:
             by_element, counts = table(k), [0] * r
             for part in values:
                 for x in part:
                     counts[by_element[x]] += 1
             tallies[k] = counts
-        return tallies[k]
-
-    def closable(k: int | None) -> tuple[list[int] | None, list[int] | None]:
-        """``(via, look)`` for an end whose last edge adds k * x there: a
-        digit d there can be closed by ``look[via[d]]`` values, those with
-        k * x = -d; ``k is None`` checks nothing."""
-        if k is None:
-            return None, None
-        return (ids, mult) if k == -1 else (neg, tally(k))
+        return tallies.get(k)
 
     # (place value, modulus) of each residue in an element's index
     radix = [(prod(gamma.moduli[k + 1 :]), m) for k, m in enumerate(gamma.moduli)]
@@ -245,27 +241,25 @@ def _count_flows(
         return total
 
     states = {0: 1}
-    for pos, ((_, slot_u, slot_v, k_u, k_v, closes, *_), (cu, cv)) in enumerate(zip(edges, ahead)):
-        pu, pv, force = r**slot_u, r**slot_v, pos in forced
+    for _, slot_u, slot_v, k_u, k_v, closes, _, _, cu, cv, force in plan:
+        pu, pv = r**slot_u, r**slot_v
         new: dict[int, int] = {}
         get = new.get
-        via_u, look_u = closable(cu)
-        via_v, look_v = closable(cv)
-        # look[via[d]] values x have k_u * x = -d, and each adds k_v * x =
+        look_u, look_v = tally(cu), tally(cv)
+        # look[d] values x have k_u * x = -d, and each adds k_v * x =
         # b_of[d] at v (x = -k_u * d off a loop, where k_u = +-1, and a
         # loop's phantom end has k_v = 0)
-        via, look = closable(k_u)
-        b_of = table(-k_u * k_v)
+        look, b_of = tally(k_u), table(-k_u * k_v)
         if closes:  # u closes: d is its sum
             for s, c in states.items():
                 su, sv = s // pu % r, s // pv % r
-                k = look[via[su]]
+                k = look[su]
                 if not k:
                     continue
                 key = s - su * pu - sv * pv
                 if closes == 1:
                     dv = (rows[sv] or row(sv))[b_of[su]]
-                    if cv is not None and not look_v[via_v[dv]]:
+                    if cv is not None and not look_v[dv]:
                         continue
                     key += dv * pv
                 elif neg[b_of[su]] != sv:  # v closes too: k_v * x must negate its sum
@@ -274,9 +268,9 @@ def _count_flows(
                     new[key] = get(key, 0) + c * k
         else:
             # one move per d: it adds -d at u, b_of[d] at v and
-            # -(1 + k_u * k_v) * d to the charge, for look[via[d]] values
-            sums = [d for d in ids if look[via[d]]]
-            moves = [(neg[d], b_of[d], look[via[d]]) for d in sums]
+            # -(1 + k_u * k_v) * d to the charge, for look[d] values
+            sums = [d for d in ids if look[d]]
+            moves = [(neg[d], b_of[d], look[d]) for d in sums]
             if force:  # a state of charge T takes the moves that add -T to it
                 solve: dict[int, list] = {}
                 adds = table(1 + k_u * k_v)
@@ -289,7 +283,7 @@ def _count_flows(
                 base = s - su * pu - sv * pv
                 for a, b, k in solve.get(charge(s), ()) if force else moves:
                     du, dv = row_u[a], row_v[b]
-                    if (cu is None or look_u[via_u[du]]) and (cv is None or look_v[via_v[dv]]):
+                    if (cu is None or look_u[du]) and (cv is None or look_v[dv]):
                         key = base + du * pu + dv * pv
                         new[key] = get(key, 0) + c * k
         states = new

@@ -1,5 +1,7 @@
 import itertools
 import re
+from collections import Counter
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -339,15 +341,25 @@ class TestIntegerFlows:
 
 def value_set_reference(graph: SignedGraph, tau: Orientation, r: int, values: tuple[range, ...]) -> int:
     """Assignments of residues mod r from ``values`` (a residue in two ranges
-    is two values) whose tau-weighted sums vanish mod r at every vertex."""
+    is two values) whose tau-weighted sums vanish mod r at every vertex:
+    each assignment of distinct residues whose sums vanish counts the
+    product of their multiplicities."""
+    mult = Counter(x for part in values for x in part)
     count = 0
-    for xs in itertools.product([x for part in values for x in part], repeat=graph.num_edges):
+    for xs in itertools.product(mult, repeat=graph.num_edges):
         sums = [0] * graph.num_vertices
         for x, e, (t0, t1) in zip(xs, graph.edges, tau.taus):
             sums[e.u] += t0 * x
             sums[e.v] += t1 * x
-        count += all(t % r == 0 for t in sums)
+        if all(t % r == 0 for t in sums):
+            count += prod(mult[x] for x in xs)
     return count
+
+
+def closed_under_negation(r: int, values: tuple[range, ...]) -> tuple[range, ...]:
+    """``values`` and the negative mod r of each of them, as every caller of
+    the count passes: a residue is then as many values as its negative."""
+    return values + tuple(range(-x % r, -x % r + 1) for part in values for x in part)
 
 
 def closes_at_its_next_edge(walk, pos: int, slot: int) -> bool:
@@ -396,11 +408,14 @@ class TestEarlyClosingCheck:
         tau = default_orientation(graph)
         for gamma in (Z3, Z4, K4GROUP, Z5):
             assert count_group_flows(graph, gamma) == product_reference(graph, gamma, tau)
-        # every caller's values are closed under negation, which hides the sign
-        # of the tau a closing edge has at its vertex; these are not
+        # value sets closed under negation, as every caller's are, one with a
+        # residue in two ranges: with them the sign of an end's factor enters
+        # no lookup, as the flipped orientation checks; only the relative sign
+        # of an edge's two ends does (b_of, adds), set by the graphs' signs
         flipped = flipped_orientation(graph, [True] * graph.num_edges)
         for r in (3, 4, 5):
             for values in ((range(1, 2),), (range(1, 3), range(2, 3))):
+                values = closed_under_negation(r, values)
                 for t in (tau, flipped):
                     assert _count_flows(graph, t, FiniteAbelianGroup((r,)), values, DEFAULT_BUDGET) == (
                         value_set_reference(graph, t, r, values)
@@ -413,9 +428,9 @@ class TestEarlyClosingCheck:
 
     @given(signed_graphs(max_vertices=3, max_edges=4), st.integers(1, 5), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_value_sets_not_closed_under_negation_on_random_graphs(self, graph, r, data):
+    def test_value_sets_closed_under_negation_on_random_graphs(self, graph, r, data):
         bounds = [sorted(data.draw(st.lists(st.integers(0, r), min_size=2, max_size=2))) for _ in range(2)]
-        values = tuple(range(lo, hi) for lo, hi in bounds)
+        values = closed_under_negation(r, tuple(range(lo, hi) for lo, hi in bounds))
         flips = data.draw(st.lists(st.booleans(), min_size=graph.num_edges, max_size=graph.num_edges))
         tau = flipped_orientation(graph, flips)
         assert _count_flows(graph, tau, FiniteAbelianGroup((r,)), values, DEFAULT_BUDGET) == (
@@ -506,6 +521,7 @@ class TestChargeLaw:
         flipped = flipped_orientation(graph, [True] * graph.num_edges)
         for r in (3, 4, 5, 6):
             for values in ((range(1, 2),), (range(0, 3), range(2, 3))):
+                values = closed_under_negation(r, values)
                 for t in (tau, flipped):
                     assert _count_flows(graph, t, FiniteAbelianGroup((r,)), values, DEFAULT_BUDGET) == (
                         value_set_reference(graph, t, r, values)
@@ -529,7 +545,7 @@ class TestChargeLaw:
     def test_value_ranges_and_any_tau_match_brute_force(self, graph, r, data):
         lo, hi = sorted(data.draw(st.lists(st.integers(0, r), min_size=2, max_size=2)))
         extra = data.draw(st.integers(0, r - 1))
-        values = (range(lo, hi), range(extra, extra + data.draw(st.integers(0, 1))))
+        values = closed_under_negation(r, (range(lo, hi), range(extra, extra + data.draw(st.integers(0, 1)))))
         tau = data.draw(any_taus(graph))
         assert _count_flows(graph, tau, FiniteAbelianGroup((r,)), values, DEFAULT_BUDGET) == (
             value_set_reference(graph, tau, r, values)
@@ -622,6 +638,32 @@ class TestEqualInvariantsEqualCounts:
         for left, right in group_pairs_same_invariants(abelian_groups_up_to(16)):
             for graph in graphs:
                 assert count_group_flows(graph, left) == count_group_flows(graph, right)
+
+
+class TestValuesClosedUnderNegation:
+    def test_every_caller_passes_each_value_as_often_as_its_negative(self, monkeypatch):
+        # the count reads one tally per factor k for both k * x = d and
+        # k * x = -d, which holds only for value sets closed under negation
+        calls = []
+
+        def recorded(graph, tau, gamma, values, budget):
+            calls.append((gamma, values))
+            return _count_flows(graph, tau, gamma, values, budget)
+
+        monkeypatch.setattr("signedflow.oracle._count_flows", recorded)
+        groups = abelian_groups_up_to(16)
+        for gamma in groups:
+            count_group_flows(TRIANGLE, gamma)
+        # largest half-degree 1 (both ranges are 1..n-1 at N = n), 2 and 4
+        k5 = g(5, *((u, v, 1) for u, v in itertools.combinations(range(5), 2)))
+        for graph in (POS_EDGE, TRIANGLE, k5):
+            for n in range(1, 9):
+                count_integer_nflows(graph, n)
+        assert len(calls) == len(groups) + 3 * 8
+        for gamma, values in calls:
+            mult = Counter(x for part in values for x in part)
+            neg = gamma.index_table(0, -1)
+            assert all(mult[x] == mult[neg[x]] for x in range(gamma.order)), (gamma, values)
 
 
 class TestKeptPlan:
