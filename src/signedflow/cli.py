@@ -8,9 +8,11 @@ entry of ``_COMMANDS``: its handler and its options.  The options are read
 by that table, not by argparse, whose import and parser building took about
 4 ms of every command's start-up; a refusal is then an input error like any
 other, and a JSON report under --json.  JSON reports are written by
-``_json_text``, not by the json module (about 2 ms to import).  The engine,
-and the polynomial module with it, is imported only by poly, verify and
-intflow --fit.
+``_json_text``, not by the json module (about 2 ms to import).  Each
+counter is imported inside the handlers that run it: the engine, and the
+polynomial module with it, by poly, verify and intflow --fit, and the
+oracle by count, verify and intflow.  So switch and equiv load neither
+counter, and poly loads no oracle.
 
 Exit codes: 0 success / all-pass, 1 verification mismatch, 2 input error,
 3 search budget exceeded (or a graph too wide for the engine, or a poly
@@ -19,17 +21,16 @@ report that cannot be written, 130 interrupted (Ctrl-C); the report keeps
 what was counted before it.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 
-from . import oracle
 from .graph import (SignedGraph, graph_fingerprint, graph_to_text, parse_graph_text,
                     signatures_equivalent, switch)
 from .groups import FiniteAbelianGroup, abelian_groups_of_order, group_pairs_same_invariants, parse_group_spec
-# unused here; perfbench/tracing.py wraps this name on this module, and each
-# name it wraps must resolve
+# perfbench/tracing.py wraps abelian_groups_up_to, unused here, and
+# group_pairs_same_invariants on this module, and each name it wraps must
+# resolve; so groups is imported with this module, not inside the handlers
+# as the counters are
 from .groups import abelian_groups_up_to  # noqa: F401
 from .values import DEFAULT_BUDGET, BudgetExceededError, _as_int, _int_list, _int_text
 
@@ -79,6 +80,8 @@ def _counted(label: str, count, g: SignedGraph, size, budget: int) -> int:
 
 def _cmd_count(g: SignedGraph, args, results: dict, human: list[str]) -> int:
     gamma = parse_group_spec(args["group"])
+    from . import oracle
+
     n = oracle.count_group_flows(g, gamma, budget=args["budget"])
     results.update(count=n, group=_group_json(gamma),
                    num_vertices=g.num_vertices, num_edges=g.num_edges)
@@ -105,7 +108,7 @@ def _cmd_poly(g: SignedGraph, args, results: dict, human: list[str]) -> int:
 
 def _cmd_verify(g: SignedGraph, args, results: dict, human: list[str]) -> int:
     max_order = _as_int(args["max_order"], "max-order", least=1)
-    from . import engine
+    from . import engine, oracle
 
     # the largest 2-rank of a group of order at most max_order, that of Z2^d
     family = engine.flow_polynomial_family(g, max_order.bit_length() - 1)
@@ -166,6 +169,8 @@ def _cmd_switch(g: SignedGraph, args, results: dict, human: list[str]) -> int:
 
 def _cmd_intflow(g: SignedGraph, args, results: dict, human: list[str]) -> int:
     _as_int(args["n_max"], "n-max", least=1)
+    from . import oracle
+
     if args["fit"]:  # refused before any count is made
         from . import engine
 

@@ -22,8 +22,6 @@ nothing recurses and nothing is memoised, so the cost follows the
 frontier width, not the edge order.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable
 from math import comb
 

@@ -15,8 +15,6 @@ Only :func:`frontier_walk` drops edgeless vertices; the forest never holds
 one, so no caller of it allocates per declared vertex.
 """
 
-from __future__ import annotations
-
 import sys
 from collections import namedtuple
 from collections.abc import Iterable
@@ -61,7 +59,7 @@ class SignedGraph(Value):
     @classmethod
     def from_edges(
         cls, num_vertices: int, triples: Iterable[tuple[int, int, int]]
-    ) -> SignedGraph:
+    ) -> "SignedGraph":
         return cls(num_vertices, triples)
 
     @property

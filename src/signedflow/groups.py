@@ -4,8 +4,6 @@ Elements are tuples of residues, one per modulus.  Everything here is pure
 and immutable.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections.abc import Iterable, Iterator
 from math import prod

@@ -16,8 +16,6 @@ steps, bounded before the count starts, instead of silent long runs.
 Counts are plain Python ints, so they never overflow.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from math import prod
 

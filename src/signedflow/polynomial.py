@@ -4,16 +4,15 @@ Coefficients are Python ints or ``fractions.Fraction``; floats are rejected
 outright so no count can ever pass through floating point.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable
 from math import lcm, prod
 
 from .values import Value, _as_int
 
-# What the annotations below mean by a coefficient.  They are never
-# evaluated, and fractions (and the decimal module it loads) is imported
-# only where a rational value can occur, so an all-integer run never loads it.
+# What the annotations below mean by a coefficient.  It is text, which they
+# evaluate to as it is, so fractions (and the decimal module it loads) is
+# imported only where a rational value can occur: an all-integer run never
+# loads it.
 Coeff = "int | Fraction"
 
 
@@ -51,7 +50,7 @@ class Poly(Value):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: Poly) -> Poly:
+    def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -60,13 +59,13 @@ class Poly(Value):
             out[i] += c
         return Poly(out)
 
-    def __neg__(self) -> Poly:
+    def __neg__(self) -> "Poly":
         return Poly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other: Poly) -> Poly:
+    def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
-    def __mul__(self, other) -> Poly:
+    def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
             if self.is_zero() or other.is_zero():
                 return Poly()
@@ -80,7 +79,7 @@ class Poly(Value):
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> Poly:
+    def __pow__(self, k: int) -> "Poly":
         out = Poly((1,))
         for _ in range(_as_int(k, "power", least=0)):
             out = out * self

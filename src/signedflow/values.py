@@ -8,8 +8,6 @@ takes them; that is the one invariant the methods below rely on, since
 they read the slots in that order and ``cls(*values)`` rebuilds the object.
 """
 
-from __future__ import annotations
-
 import operator
 from collections.abc import Iterator
 

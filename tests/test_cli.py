@@ -20,6 +20,7 @@ from signedflow import (
     count_integer_nflows,
     flow_polynomial,
     nonzero_sum_count,
+    oracle,
     parse_graph_text,
     signatures_equivalent,
 )
@@ -368,18 +369,41 @@ class TestPoly:
 def test_the_oracle_plans_the_graph_once_per_command(capsys, write_graph, monkeypatch, command, rows):
     planned = []
     for name in ("frontier_walk", "_forest_switched"):
-        def counting(*args, name=name, planner=getattr(cli.oracle, name)):
+        def counting(*args, name=name, planner=getattr(oracle, name)):
             planned.append(name)
             return planner(*args)
 
-        monkeypatch.setattr(cli.oracle, name, counting)
+        monkeypatch.setattr(oracle, name, counting)
     # no plan kept from an earlier test (a module without one keeps none)
-    monkeypatch.setattr(cli.oracle, "_last_plan", ((None, None), None), raising=False)
+    monkeypatch.setattr(oracle, "_last_plan", ((None, None), None), raising=False)
     k4 = k4_with_signs([1, -1, 1, 1, -1, 1])
     code, out = run_cli(capsys, *command, "--graph", write_graph(k4), "--json")
     assert code == 0
     assert len(json.loads(out)["results"][rows]) == 11
     assert planned == ["frontier_walk", "_forest_switched"]
+
+
+@pytest.mark.parametrize("command, counter, calls", [
+    (["count", "--group", "3"], "count_group_flows", 1),
+    (["verify", "--max-order", "4"], "count_group_flows", 5),
+    (["intflow", "--n-max", "3"], "count_integer_nflows", 3),
+    (["intflow", "--n-max", "6", "--fit"], "count_integer_nflows", 6),
+])
+def test_every_count_goes_through_the_oracle_module(capsys, write_graph, monkeypatch,
+                                                    command, counter, calls):
+    # perfbench/tracing.py times the counts by wrapping these module
+    # attributes once cli is imported; a counter that cli bound by name on
+    # import would bypass the wrapper
+    counted = {"count_group_flows": 0, "count_integer_nflows": 0}
+    for name in counted:
+        def counting(*args, name=name, count=getattr(oracle, name), **kwargs):
+            counted[name] += 1
+            return count(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counting)
+    code, _ = run_cli(capsys, *command, "--graph", write_graph(TRIANGLE))
+    assert code == 0
+    assert counted == {**dict.fromkeys(counted, 0), counter: calls}
 
 
 class TestVerify:
@@ -419,13 +443,13 @@ class TestVerify:
 
     def test_each_group_is_counted_once(self, capsys, write_graph, monkeypatch):
         counted = []
-        count = cli.oracle.count_group_flows
+        count = oracle.count_group_flows
 
         def counting(graph, gamma, **kwargs):
             counted.append(gamma)
             return count(graph, gamma, **kwargs)
 
-        monkeypatch.setattr(cli.oracle, "count_group_flows", counting)
+        monkeypatch.setattr(oracle, "count_group_flows", counting)
         code, out = run_cli(
             capsys, "verify", "--graph", write_graph(BARBELL), "--max-order", "9"
         )
@@ -465,7 +489,7 @@ class TestVerify:
         assert runs[0].stderr.startswith("error: Z16 x Z7: up to ")
 
     def test_mismatch_exits_one(self, capsys, write_graph, monkeypatch):
-        monkeypatch.setattr(cli.oracle, "count_group_flows", lambda *a, **k: 987654)
+        monkeypatch.setattr(oracle, "count_group_flows", lambda *a, **k: 987654)
         code, out = run_cli(
             capsys, "verify", "--graph", write_graph(NEG_LOOP), "--max-order", "4"
         )
@@ -528,7 +552,7 @@ class TestInternalError:
         def out_of_memory(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(cli.oracle, "count_group_flows", out_of_memory)
+        monkeypatch.setattr(oracle, "count_group_flows", out_of_memory)
         monkeypatch.setattr(cli, "_internal_error", out_of_memory)
         monkeypatch.setattr("sys.argv", ["signedflow", "count", "--graph", write_graph(NEG_LOOP),
                                          "--group", "2"])
@@ -571,7 +595,7 @@ class TestInterrupt:
         argv = [*argv, "--graph", write_graph(NEG_LOOP)]
         assert cli.main(argv) == 0
         made = capsys.readouterr().out.splitlines()[:2]
-        counted = getattr(cli.oracle, counter)
+        counted = getattr(oracle, counter)
         calls = []
 
         def interrupted_at_the_third(*args, **kwargs):
@@ -587,7 +611,7 @@ class TestInterrupt:
             except KeyboardInterrupt:
                 pytest.fail("KeyboardInterrupt escaped the CLI")
 
-        monkeypatch.setattr(cli.oracle, counter, interrupted_at_the_third)
+        monkeypatch.setattr(oracle, counter, interrupted_at_the_third)
         assert code_of(cli.main, argv) == 130
         captured = capsys.readouterr()
         assert (captured.out.splitlines(), captured.err) == (made, "error: interrupted\n")
@@ -924,7 +948,7 @@ def test_only_the_walk_drops_edgeless_vertices(capsys, write_graph, monkeypatch)
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "signedflow" and vars(module).get("drop_edgeless_vertices") is original:
             monkeypatch.setattr(module, "drop_edgeless_vertices", counting)
-    monkeypatch.setattr(cli.oracle, "_last_plan", ((None, None), None))
+    monkeypatch.setattr(oracle, "_last_plan", ((None, None), None))
     padded = write_graph(g(7, (1, 4, 1), (4, 5, -1), (1, 5, 1), (5, 5, -1)))
     for argv, expected in ((["poly"], ["frontier_walk"]), (["count", "--group", "3"], ["frontier_walk"]),
                            (["equiv", "--other", padded], [])):
@@ -980,7 +1004,7 @@ class TestIntflow:
         argv = ["intflow", "--graph", write_graph(TRIANGLE), "--n-max", "5", "--fit"]
         assert cli.main([*argv, "--budget", "0"]) == 2
         assert capsys.readouterr() == ("", "error: n-max with --fit must be at least 6, got 5\n")
-        monkeypatch.setattr(cli.oracle, "count_integer_nflows", no_count)
+        monkeypatch.setattr(oracle, "count_integer_nflows", no_count)
         code, out = run_cli(capsys, *argv, "--json")
         assert code == 2
         assert json.loads(out)["results"] == {}

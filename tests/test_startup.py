@@ -26,6 +26,7 @@ SRC = Path(signedflow.__file__).resolve().parent.parent
 HEAVY = {"json", "typing", "re", "enum", "decimal", "fractions", "hashlib", "argparse",
          "dataclasses", "inspect"}
 ENGINE = {"signedflow.engine", "signedflow.polynomial"}
+ORACLE = "signedflow.oracle"
 
 # Each argument is one step, its name and its argv joined by newlines; the
 # child prints one line per step: its name, then every module loaded since
@@ -47,8 +48,9 @@ for step in sys.argv[1:]:
 
 @pytest.fixture(scope="module")
 def added(tmp_path_factory):
-    """Modules added by the import and by each step.  count, switch, equiv
-    and intflow run one after another in one process; poly, verify and
+    """Modules added by the import and by each step.  switch, equiv, count
+    and intflow run one after another in one process, in that order, as a
+    step's modules include those of the steps before it; poly, verify and
     each intflow --fit run in a process of their own."""
     folder = tmp_path_factory.mktemp("startup")
     graph = folder / "digon.txt"
@@ -58,9 +60,9 @@ def added(tmp_path_factory):
     loops.write_text("vertices 1\n" + "edge 0 0 -\n" * 5 + "edge 0 0 +\n")
     g = ["--graph", str(graph), "--json"]
     light = [
-        ("count", ["count", *g, "--group", "3"]),
         ("switch", ["switch", *g, "--vertices", "0"]),
         ("equiv", ["equiv", *g, "--other", str(graph)]),
+        ("count", ["count", *g, "--group", "3"]),
         ("intflow", ["intflow", *g, "--n-max", "6"]),
     ]
     runs = [light, [("poly", ["poly", *g])], [("verify", ["verify", *g, "--max-order", "4"])],
@@ -105,6 +107,23 @@ def test_commands_without_polynomials_load_no_engine(added, step):
 @pytest.mark.parametrize("step", ["poly", "verify", "fit"])
 def test_commands_with_polynomials_load_the_engine(added, step):
     assert added[step] >= ENGINE
+
+
+def test_no_step_loads_future(added):
+    # no module imports it: the floor, Python 3.10, evaluates every
+    # annotation the package writes
+    for step, modules in added.items():
+        assert "__future__" not in modules, step
+
+
+@pytest.mark.parametrize("step", ["import", "poly", "switch", "equiv"])
+def test_commands_without_flow_counts_load_no_oracle(added, step):
+    assert ORACLE not in added[step]
+
+
+@pytest.mark.parametrize("step", ["count", "verify", "intflow", "fit"])
+def test_commands_with_flow_counts_load_the_oracle(added, step):
+    assert ORACLE in added[step]
 
 
 def test_public_names_resolve_to_their_modules():
