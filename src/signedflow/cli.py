@@ -372,20 +372,25 @@ def run() -> None:
     failed = None
     try:
         code = main()
+    except KeyboardInterrupt:
+        # Ctrl-C while the report was built or written
+        failed, code = "interrupted", EXIT_INTERRUPTED
     except Exception as exc:
         # main failed while reporting another fault, say with a MemoryError;
         # only the name is kept, so the exception and the frames it holds are
         # freed when this block ends, before anything is written
-        failed, code = type(exc).__name__, EXIT_INTERNAL
+        failed, code = f"internal error: {type(exc).__name__}", EXIT_INTERNAL
     if failed is not None:
-        _say(f"error: internal error: {failed}\n")
+        _say(f"error: {failed}\n")
     # The process ends here, without the interpreter's shutdown: its
     # collection over every object still alive (most of them made by site's
     # imports) and its teardown of the modules took about 9 ms of every
     # command.  Of what the shutdown does, the program needs only the flush
     # of the streams, done here; it registers no atexit handler.  A stream
-    # that cannot be flushed lost part of the report.
-    for stream in (sys.stdout, sys.stderr):
+    # that cannot be flushed lost part of the report.  An interrupted
+    # command flushes no more of its report: into a full pipe, that flush
+    # would block again.
+    for stream in (sys.stderr,) if code == EXIT_INTERRUPTED else (sys.stdout, sys.stderr):
         if stream is not None:
             try:
                 stream.flush()

@@ -61,17 +61,19 @@ def _plan(g: SignedGraph, tau: Orientation) -> list[tuple]:
     """The part of a count that does not depend on the group: one record
     per edge of g under tau, in walk order.
 
-    One pass over :func:`frontier_walk`, with each edge's tau from
-    :func:`_forest_switched`, gives each edge its record ``(edge id, slot
-    of u, slot of v, k_u, k_v, ends it closes, vertices it leaves open,
-    vertices open after it, ahead at u, ahead at v, forced)``, a closing
-    end first: the edge adds k_u * x at u and k_v * x at v.  The open
-    count after it is the walk's own.  A loop's second end is the phantom
-    slot, one place past the walk's last slot, whose sum is always 0: the
-    loop adds 0 * x there and (tau0 + tau1) * x at its vertex, and the
-    phantom end closes when the vertex does.  Ahead at an end is the
+    One backward pass over :func:`frontier_walk`, with each edge's tau
+    from :func:`_forest_switched`, makes each edge's record whole, ``(edge
+    id, slot of u, slot of v, k_u, k_v, ends it closes, vertices it leaves
+    open, vertices open after it, ahead at u, ahead at v, forced)``, a
+    closing end first: the edge adds k_u * x at u and k_v * x at v.  The
+    open count after it is the walk's own.  A loop's second end is the
+    phantom slot, one place past the walk's last slot, whose sum is always
+    0: the loop adds 0 * x there and (tau0 + tau1) * x at its vertex, and
+    the phantom end closes when the vertex does.  Ahead at an end is the
     factor the end's last edge adds x with there if this is its
-    next-to-last edge, else None.
+    next-to-last edge, else None: seen from the walk's end, the last edge
+    comes first and leaves its factor under the slot it frees, and the
+    next edge met there takes it unless that edge frees the slot too.
 
     The edges that leave no vertex open cut the walk into stretches.  A
     vertex opened in a stretch closes in it, with sum 0 in a flow, so the
@@ -79,7 +81,7 @@ def _plan(g: SignedGraph, tau: Orientation) -> list[tuple]:
     order.  Only an edge with tau0 = tau1 changes that total, so after a
     stretch's last such edge the open sums must already total 0.  Forced
     is True at that edge in each stretch where it is not the stretch's
-    last edge.
+    last edge: the first such edge met back from the stretch's last.
 
     Only the last plan is kept, keyed by the value of ``(g, tau)``, so the
     counts of one graph over many groups or many n plan it once.  The plan
@@ -91,34 +93,28 @@ def _plan(g: SignedGraph, tau: Orientation) -> list[tuple]:
         return plan
     walk = frontier_walk(g)
     phantom = 1 + max((max(step[1:3]) for step in walk), default=0)
-    records: list[list] = []
-    # per open slot that has had an edge: (record, end) of its latest edge
-    latest: dict[int, tuple[list, int]] = {}
-    # the record of the latest edge with tau0 = tau1 in this stretch
-    charged: list | None = None
-    for (i, su, sv, _, freed, num_open), (t0, t1) in zip(walk, _forest_switched(g, walk, tau)):
-        record = [i]
-        if t0 + t1:
-            charged = record
+    plan: list[tuple] = []
+    # per slot freed later in the walk: the factor its vertex's last edge adds x with,
+    # for the vertex's next-to-last edge to take
+    ahead: dict[int, int] = {}
+    # from a stretch's last edge back to its last edge with tau0 = tau1
+    seek = False
+    switched = _forest_switched(g, walk, tau)
+    for (i, su, sv, _, freed, num_open), (t0, t1) in zip(reversed(walk), reversed(switched)):
         closes, opens = len(freed), len({su, sv}) - len(freed)
-        for w in freed:
-            if w in latest:
-                prev, end = latest.pop(w)
-                prev[8 + end] = t0 + t1 if su == sv else t0 if w == su else t1
-        if su not in freed:  # v closes, or neither end does
-            su, sv, t0, t1 = sv, su, t1, t0
-        for end, w in ((1, sv), (0, su)):  # a loop's one end is u
-            if w not in freed:
-                latest[w] = record, end
         if su == sv:  # a loop: its second end is the phantom, closing with its vertex
             sv, t0, t1, closes = phantom, t0 + t1, 0, 2 * closes
-        record += su, sv, t0, t1, closes, opens, num_open, None, None, False
-        records.append(record)
-        if not num_open:  # the stretch ends here
-            if charged is not None and charged is not record:
-                charged[10] = True
-            charged = None
-    plan = [tuple(record) for record in records]
+        elif su not in freed:  # v closes, or neither end does
+            su, sv, t0, t1 = sv, su, t1, t0
+        cu = None if su in freed else ahead.pop(su, None)
+        cv = None if sv in freed else ahead.pop(sv, None)
+        for w in freed:  # this is the last edge at w
+            ahead[w] = t0 if w == su else t1
+        seek = seek or not num_open
+        forced = bool(seek and t0 + t1 and num_open)  # unless this is the stretch's last edge
+        seek = seek and not t0 + t1
+        plan.append((i, su, sv, t0, t1, closes, opens, num_open, cu, cv, forced))
+    plan.reverse()
     _last_plan = (g, tau), plan
     return plan
 

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -625,6 +626,54 @@ class TestInterrupt:
         assert exc.value.code == 130
         captured = capsys.readouterr()
         assert (captured.out.splitlines(), captured.err) == (made, "error: interrupted\n")
+
+    def test_ctrl_c_while_the_report_is_built_exits_130_in_a_child(self, write_graph):
+        # run() is the process's last frame: an interrupt that escapes main
+        # ends there with one error line, not a traceback
+        src = Path(cli.__file__).resolve().parent.parent
+        start = ("import sys\nfrom signedflow import cli\n"
+                 "def interrupted(*args):\n    raise KeyboardInterrupt\n"
+                 "cli._report_text = interrupted\ncli.run()\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", start, "poly", "--graph", write_graph(NEG_LOOP), "--json"],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "error: interrupted\n")
+
+    def test_ctrl_c_while_the_report_is_written_into_a_full_pipe_exits_130(self, write_graph):
+        # the report is larger than the pipe, which nothing reads until the
+        # pipe is full and the child waits in its write; then comes SIGINT
+        fcntl = pytest.importorskip("fcntl")
+        termios = pytest.importorskip("termios")
+        if not hasattr(fcntl, "F_GETPIPE_SZ"):
+            pytest.skip("the pipe's capacity is read with Linux's F_GETPIPE_SZ")
+        src = Path(cli.__file__).resolve().parent.parent
+        with subprocess.Popen(
+            [sys.executable, "-m", "signedflow.cli", "poly", "--graph",
+             write_graph(g(1, *[(0, 0, 1)] * 2000)), "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(src)),
+            # Python raises KeyboardInterrupt on SIGINT only if the signal
+            # was not ignored when it started, as in a background job
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        ) as proc:
+            capacity = fcntl.fcntl(proc.stdout, fcntl.F_GETPIPE_SZ)
+            deadline = time.monotonic() + 60
+            # FIONREAD: the bytes waiting in the pipe, a C int
+            while int.from_bytes(fcntl.ioctl(proc.stdout, termios.FIONREAD, bytes(4)),
+                                 sys.byteorder) < capacity:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGINT)
+            # the child flushes no more of the report, so it exits while the
+            # pipe is full; one that waits to flush the rest is drained below
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                pass
+            out, err = proc.communicate(timeout=60)
+        assert b"Traceback" not in err
+        assert (proc.returncode, len(out), err) == (130, capacity, b"error: interrupted\n")
 
 
 # What a report may hold: dicts with text keys, lists, tuples, ints (also

@@ -599,6 +599,40 @@ class TestChargeLaw:
         )
 
 
+class TestPlanLateFields:
+    """The two fields of a plan record that depend on later edges, restated
+    vertex by vertex and stretch by stretch from the walk and the switched
+    tau alone."""
+
+    @given(multi_component_graphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_ahead_and_forced_by_vertex(self, graph, data):
+        tau = data.draw(any_taus(graph))
+        walk = frontier_walk(graph)
+        taus = _forest_switched(graph, walk, tau)
+        # ahead: at a vertex's next-to-last edge, the factor its last edge adds x with
+        positions: dict[int, list[int]] = {}
+        for pos, (i, *_) in enumerate(walk):
+            for w in set(graph.edges[i][:2]):
+                positions.setdefault(w, []).append(pos)
+        ahead = {}
+        for w, at in positions.items():
+            if len(at) > 1:
+                u, v, _ = graph.edges[walk[at[-1]][0]]
+                t0, t1 = taus[at[-1]]
+                ahead[at[-2], w] = t0 + t1 if u == v else t0 if w == u else t1
+        # forced: a stretch's last edge with tau0 = tau1, unless that is its last edge
+        ends = [pos for pos, (*_, num_open) in enumerate(walk) if not num_open]
+        forced = {pos for pos, end in zip(last_charged(walk, taus), ends) if 0 <= pos < end}
+        plan = _plan(graph, tau)
+        assert [record[0] for record in plan] == [i for i, *_ in walk]
+        for pos, ((i, su, sv, *_), record) in enumerate(zip(walk, plan)):
+            u, v, _ = graph.edges[i]
+            vertex = {su: u, sv: v}  # a loop's phantom end is no vertex
+            assert [ahead.get((pos, vertex.get(slot))) for slot in record[1:3]] == list(record[8:10])
+            assert record[10] is (pos in forced)
+
+
 class TestDoubleSumOracle:
     def test_empty_equation(self):
         assert count_double_sum_solutions(0, Z5) == 1
